@@ -136,11 +136,13 @@ func Open() *DB {
 
 // Register adds a table. Re-registering a name replaces the table,
 // invalidates cached plans, and drops Algorithmic Views materialised from
-// the old data (they would be stale).
+// the old data (they would be stale). Column statistics are computed here,
+// once, before the table becomes visible to queries.
 func (db *DB) Register(t *Table) error {
 	if t == nil || t.rel == nil {
 		return fmt.Errorf("dqo: Register of nil table")
 	}
+	t.rel.PrimeStats()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	name := t.rel.Name()

@@ -19,36 +19,33 @@ import (
 // slots): a hit reuses the cached plan as a parameterised template, splicing
 // the new statement's literals into a structural clone via core.Rebind —
 // repeated query shapes skip enumeration entirely and re-plan in O(rebind).
+//
+// A cold key is planned once, not once per racing caller: callers that miss
+// while another caller's optimiser run for the same key is in flight wait
+// for it and then use its plan.
 type PlanCache struct {
-	mu      sync.Mutex
-	entries map[string]*core.Result
-	hits    int
-	misses  int
+	mu       sync.Mutex
+	entries  map[string]*core.Result
+	inflight map[string]chan struct{} // closed when the key's optimiser run ends
+	hits     int
+	misses   int
 }
 
 // NewPlanCache returns an empty cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{entries: make(map[string]*core.Result)}
+	return &PlanCache{entries: make(map[string]*core.Result), inflight: make(map[string]chan struct{})}
 }
 
 // Optimize returns the cached result for key, or optimises n under mode,
 // caches, and returns it. The second result reports a cache hit.
 func (pc *PlanCache) Optimize(key string, n logical.Node, mode core.Mode) (*core.Result, bool, error) {
 	pc.mu.Lock()
-	if res, ok := pc.entries[key]; ok {
+	if res, ok := pc.await(key); ok {
 		pc.hits++
 		pc.mu.Unlock()
 		return res, true, nil
 	}
-	pc.misses++
-	pc.mu.Unlock()
-
-	res, err := core.Optimize(n, mode)
-	if err != nil {
-		return nil, false, err
-	}
-	pc.store(key, res)
-	return res, false, nil
+	return pc.plan(key, n, mode)
 }
 
 // OptimizeTemplate returns the plan for n, treating the entry under key as a
@@ -60,7 +57,7 @@ func (pc *PlanCache) Optimize(key string, n logical.Node, mode core.Mode) (*core
 // counted as a miss.
 func (pc *PlanCache) OptimizeTemplate(key string, n logical.Node, mode core.Mode) (*core.Result, bool, error) {
 	pc.mu.Lock()
-	cached, ok := pc.entries[key]
+	cached, ok := pc.await(key)
 	pc.mu.Unlock()
 	if ok {
 		if res, err := core.Rebind(cached, n); err == nil {
@@ -71,21 +68,48 @@ func (pc *PlanCache) OptimizeTemplate(key string, n logical.Node, mode core.Mode
 		}
 	}
 	pc.mu.Lock()
-	pc.misses++
-	pc.mu.Unlock()
+	return pc.plan(key, n, mode)
+}
 
+// await returns the entry under key, first waiting out any optimiser run in
+// flight for it. The caller holds pc.mu, which is held again on return.
+func (pc *PlanCache) await(key string) (*core.Result, bool) {
+	for {
+		done, busy := pc.inflight[key]
+		if !busy {
+			res, ok := pc.entries[key]
+			return res, ok
+		}
+		pc.mu.Unlock()
+		<-done
+		pc.mu.Lock()
+	}
+}
+
+// plan counts a miss and optimises n as the key's run in flight, caching a
+// successful result before waking the callers waiting for it. The caller
+// holds pc.mu; plan releases it.
+func (pc *PlanCache) plan(key string, n logical.Node, mode core.Mode) (*core.Result, bool, error) {
+	pc.misses++
+	done := make(chan struct{})
+	pc.inflight[key] = done
+	pc.mu.Unlock()
+	defer func() {
+		pc.mu.Lock()
+		if pc.inflight[key] == done {
+			delete(pc.inflight, key)
+		}
+		pc.mu.Unlock()
+		close(done)
+	}()
 	res, err := core.Optimize(n, mode)
 	if err != nil {
 		return nil, false, err
 	}
-	pc.store(key, res)
-	return res, false, nil
-}
-
-func (pc *PlanCache) store(key string, res *core.Result) {
 	pc.mu.Lock()
 	pc.entries[key] = res
 	pc.mu.Unlock()
+	return res, false, nil
 }
 
 // Invalidate drops the entry for key (if any).

@@ -154,6 +154,7 @@ func MaterializeSorted(table string, rel *storage.Relation, col string) (*View, 
 	for _, c := range rel.Corrs() {
 		sorted.DeclareCorr(c[0], c[1])
 	}
+	sorted.PrimeStats() // the optimiser scans it as a table variant
 	return &View{
 		Kind: SortedProjection, Table: table, Column: col,
 		SizeBytes: relationBytes(sorted),

@@ -106,9 +106,10 @@ func Optimize(n logical.Node, mode Mode) (*Result, error) {
 type optimizer struct {
 	mode  Mode
 	stats Stats
-	// scanProps memoises per-relation scan properties for the greedy tier,
-	// which revisits base relations (scan variants, AV fallbacks) within one
-	// single-pass run. The DP tiers keep their own enumeration paths.
+	// scanProps memoises per-relation scan properties for the run: every
+	// tier revisits base relations (scan variants, AV fallbacks, the DP
+	// tiers' per-granule base scans), and each visit would otherwise walk
+	// every column's statistics again.
 	scanProps map[*storage.Relation]props.Set
 	// est shares one memoised cardinality estimator across the whole run —
 	// the greedy pass asks about every node it visits, and the DP tiers
@@ -330,6 +331,21 @@ func MarkSpillTwins(p *Plan) int {
 	return n
 }
 
+// scanPropsOf returns the restricted property set of one stored relation,
+// memoised per optimisation run. Callers share the returned set and must
+// not mutate it.
+func (o *optimizer) scanPropsOf(rel *storage.Relation) props.Set {
+	if ps, ok := o.scanProps[rel]; ok {
+		return ps
+	}
+	ps := o.restrict(logical.ScanProps(rel))
+	if o.scanProps == nil {
+		o.scanProps = make(map[*storage.Relation]props.Set, 8)
+	}
+	o.scanProps[rel] = ps
+	return ps
+}
+
 // restrict hides the properties the mode does not track — the SQO/DQO
 // delta. SQO keeps sortedness (and what follows from it) but is blind to
 // density: its property vector simply never contains a dense domain, so
@@ -387,7 +403,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 		rows := o.estimator().Estimate(n)
 		p := &Plan{
 			Op: OpScan, Table: n.Table, Rel: n.Rel,
-			Props: o.restrict(logical.ScanProps(n.Rel)),
+			Props: o.scanPropsOf(n.Rel),
 			Rows:  rows,
 		}
 		p.Cost = o.mode.Model.Scan(p.Rows)
@@ -401,7 +417,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 			for _, v := range o.mode.Scans.ScanVariants(n.Table) {
 				vp := &Plan{
 					Op: OpScan, Table: n.Table, Rel: v.Rel, AV: v.Label,
-					Props: o.restrict(logical.ScanProps(v.Rel)),
+					Props: o.scanPropsOf(v.Rel),
 					Rows:  rows,
 					Cost:  o.mode.Model.Scan(rows),
 				}
@@ -420,7 +436,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 			if enc := relCompression(n.Rel); enc != props.NoCompression {
 				cp := &Plan{
 					Op: OpScan, Table: n.Table, Rel: n.Rel, Enc: enc,
-					Props: o.restrict(logical.ScanProps(n.Rel)),
+					Props: o.scanPropsOf(n.Rel),
 					Rows:  rows,
 					Cost:  o.mode.Model.ScanCompressed(rows, enc),
 				}
@@ -476,7 +492,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 					if idx, have := o.mode.CrackedIdx.Cracked(scan.Table, col); have {
 						base := &Plan{
 							Op: OpScan, Table: scan.Table, Rel: scan.Rel,
-							Props: o.restrict(logical.ScanProps(scan.Rel)),
+							Props: o.scanPropsOf(scan.Rel),
 							Rows:  o.estimator().Estimate(scan),
 							Cost:  o.mode.Model.Scan(o.estimator().Estimate(scan)),
 						}
@@ -516,7 +532,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 							base := &Plan{
 								Op: OpScan, Table: scan.Table, Rel: scan.Rel,
 								Enc:   relCompression(scan.Rel),
-								Props: o.restrict(logical.ScanProps(scan.Rel)),
+								Props: o.scanPropsOf(scan.Rel),
 								Rows:  scanRows,
 								Cost:  o.mode.Model.ScanCompressed(scanRows, enc),
 							}
@@ -738,7 +754,7 @@ func (o *optimizer) optimizeJoin(n *logical.Join) ([]*Plan, error) {
 			if idx, have := o.mode.Indexes.Index(scan.Table, n.LeftKey); have {
 				base := &Plan{
 					Op: OpScan, Table: scan.Table, Rel: scan.Rel,
-					Props: o.restrict(logical.ScanProps(scan.Rel)),
+					Props: o.scanPropsOf(scan.Rel),
 					Rows:  o.estimator().Estimate(scan),
 					Cost:  o.mode.Model.Scan(o.estimator().Estimate(scan)),
 				}

@@ -9,6 +9,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"dqo/internal/storage"
@@ -152,11 +153,17 @@ const (
 	rkString
 )
 
-// result is a vectorised evaluation result. Exactly one slice is populated.
+// result is a vectorised evaluation result: one value per row, or — for a
+// literal, and anything computed from literals alone — a scalar held as the
+// single element of its slice, which the kernels read once instead of per
+// row. Exactly one slice is populated; an rkInt straight off a uint32
+// column keeps the column's own []uint32 rather than a widened copy.
 type result struct {
 	kind   resultKind
+	scalar bool
 	bools  []bool
 	ints   []int64
+	u32s   []uint32
 	floats []float64
 	strs   []string
 }
@@ -170,6 +177,11 @@ func EvalPredicate(e Expr, rel *storage.Relation) ([]bool, error) {
 	}
 	if r.kind != rkBool {
 		return nil, fmt.Errorf("expr: %s is not a predicate", e)
+	}
+	if r.scalar {
+		out := make([]bool, rel.NumRows())
+		fill(out, r.bools[0])
+		return out, nil
 	}
 	return r.bools, nil
 }
@@ -196,40 +208,16 @@ func eval(e Expr, rel *storage.Relation) (result, error) {
 	case Col:
 		return evalCol(e, rel)
 	case IntLit:
-		return result{kind: rkInt, ints: broadcastInt(e.V, rel.NumRows())}, nil
+		return result{kind: rkInt, scalar: true, ints: []int64{e.V}}, nil
 	case FloatLit:
-		return result{kind: rkFloat, floats: broadcastFloat(e.V, rel.NumRows())}, nil
+		return result{kind: rkFloat, scalar: true, floats: []float64{e.V}}, nil
 	case StrLit:
-		return result{kind: rkString, strs: broadcastStr(e.V, rel.NumRows())}, nil
+		return result{kind: rkString, scalar: true, strs: []string{e.V}}, nil
 	case Bin:
 		return evalBin(e, rel)
 	default:
 		return result{}, fmt.Errorf("expr: unknown expression type %T", e)
 	}
-}
-
-func broadcastInt(v int64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
-func broadcastFloat(v float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
-func broadcastStr(v string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }
 
 func evalCol(c Col, rel *storage.Relation) (result, error) {
@@ -239,11 +227,7 @@ func evalCol(c Col, rel *storage.Relation) (result, error) {
 	}
 	switch col.Kind() {
 	case storage.KindUint32:
-		out := make([]int64, col.Len())
-		for i, v := range col.Uint32s() {
-			out[i] = int64(v)
-		}
-		return result{kind: rkInt, ints: out}, nil
+		return result{kind: rkInt, u32s: col.Uint32s()}, nil
 	case storage.KindUint64:
 		out := make([]int64, col.Len())
 		for i, v := range col.Uint64s() {
@@ -276,20 +260,7 @@ func evalBin(b Bin, rel *storage.Relation) (result, error) {
 		return result{}, err
 	}
 	if b.Op.logical() {
-		if l.kind != rkBool || r.kind != rkBool {
-			return result{}, fmt.Errorf("expr: %s requires boolean operands", b.Op)
-		}
-		out := make([]bool, len(l.bools))
-		if b.Op == OpAnd {
-			for i := range out {
-				out[i] = l.bools[i] && r.bools[i]
-			}
-		} else {
-			for i := range out {
-				out[i] = l.bools[i] || r.bools[i]
-			}
-		}
-		return result{kind: rkBool, bools: out}, nil
+		return evalLogical(b.Op, l, r)
 	}
 
 	// Promote int to float when mixed.
@@ -302,55 +273,203 @@ func evalBin(b Bin, rel *storage.Relation) (result, error) {
 	if l.kind != r.kind {
 		return result{}, fmt.Errorf("expr: type mismatch %s: %v vs %v", b.Op, l.kind, r.kind)
 	}
+	if b.Op.comparison() && l.kind == rkBool {
+		return result{}, fmt.Errorf("expr: cannot compare booleans with %s", b.Op)
+	}
+	if !b.Op.comparison() && (l.kind == rkBool || l.kind == rkString) {
+		return result{}, fmt.Errorf("expr: arithmetic %s on non-numeric operands", b.Op)
+	}
 
-	if b.Op.comparison() {
-		out := make([]bool, lenOf(l))
-		switch l.kind {
-		case rkInt:
-			cmpSlice(out, b.Op, l.ints, r.ints)
-		case rkFloat:
-			cmpSlice(out, b.Op, l.floats, r.floats)
-		case rkString:
-			cmpSlice(out, b.Op, l.strs, r.strs)
+	// A literal on the left moves to the right: comparisons mirror their
+	// operator, arithmetic remembers the side for subtraction.
+	op, litLeft := b.Op, l.scalar && !r.scalar
+	if litLeft {
+		l, r = r, l
+		op = op.mirror()
+	}
+	if !r.scalar {
+		l, r = widen(l), widen(r)
+	}
+	n := lenOf(l)
+
+	if op.comparison() {
+		out := make([]bool, n)
+		switch {
+		case l.kind == rkInt && !r.scalar:
+			cmpSlice(out, op, l.ints, r.ints)
+		case l.kind == rkInt && l.u32s != nil:
+			cmpUint32(out, op, l.u32s, r.ints[0])
+		case l.kind == rkInt:
+			cmpScalar(out, op, l.ints, r.ints[0])
+		case l.kind == rkFloat && !r.scalar:
+			cmpSlice(out, op, l.floats, r.floats)
+		case l.kind == rkFloat:
+			cmpScalar(out, op, l.floats, r.floats[0])
+		case !r.scalar:
+			cmpSlice(out, op, l.strs, r.strs)
 		default:
-			return result{}, fmt.Errorf("expr: cannot compare booleans with %s", b.Op)
+			cmpScalar(out, op, l.strs, r.strs[0])
 		}
-		return result{kind: rkBool, bools: out}, nil
+		return result{kind: rkBool, scalar: l.scalar, bools: out}, nil
 	}
 
 	// Arithmetic.
-	switch l.kind {
-	case rkInt:
-		out := make([]int64, len(l.ints))
-		arith(out, b.Op, l.ints, r.ints)
-		return result{kind: rkInt, ints: out}, nil
-	case rkFloat:
-		out := make([]float64, len(l.floats))
-		arith(out, b.Op, l.floats, r.floats)
-		return result{kind: rkFloat, floats: out}, nil
-	default:
-		return result{}, fmt.Errorf("expr: arithmetic %s on non-numeric operands", b.Op)
+	if l.kind == rkFloat {
+		out := make([]float64, n)
+		if r.scalar {
+			arithScalar(out, op, l.floats, r.floats[0], litLeft)
+		} else {
+			arith(out, op, l.floats, r.floats)
+		}
+		return result{kind: rkFloat, scalar: l.scalar, floats: out}, nil
 	}
+	out := make([]int64, n)
+	switch {
+	case !r.scalar:
+		arith(out, op, l.ints, r.ints)
+	case l.u32s != nil:
+		arithScalar(out, op, l.u32s, r.ints[0], litLeft)
+	default:
+		arithScalar(out, op, l.ints, r.ints[0], litLeft)
+	}
+	return result{kind: rkInt, scalar: l.scalar, ints: out}, nil
+}
+
+// evalLogical combines two boolean operands. A scalar operand either decides
+// every row (false for AND, true for OR) or leaves the other operand as is.
+func evalLogical(op Op, l, r result) (result, error) {
+	if l.kind != rkBool || r.kind != rkBool {
+		return result{}, fmt.Errorf("expr: %s requires boolean operands", op)
+	}
+	if l.scalar {
+		l, r = r, l
+	}
+	if r.scalar {
+		if r.bools[0] != (op == OpOr) {
+			return l, nil
+		}
+		out := make([]bool, len(l.bools))
+		fill(out, r.bools[0])
+		return result{kind: rkBool, scalar: l.scalar, bools: out}, nil
+	}
+	out := make([]bool, len(l.bools))
+	if op == OpAnd {
+		for i := range out {
+			out[i] = l.bools[i] && r.bools[i]
+		}
+	} else {
+		for i := range out {
+			out[i] = l.bools[i] || r.bools[i]
+		}
+	}
+	return result{kind: rkBool, bools: out}, nil
+}
+
+// mirror returns the comparison that holds with the operands swapped
+// (a < b  iff  b > a); other operators are returned unchanged.
+func (o Op) mirror() Op {
+	switch o {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	default:
+		return o
+	}
+}
+
+// widen replaces a uint32 column operand by its int64 values, for the
+// column-against-column kernels.
+func widen(r result) result {
+	if r.u32s == nil {
+		return r
+	}
+	out := make([]int64, len(r.u32s))
+	for i, v := range r.u32s {
+		out[i] = int64(v)
+	}
+	return result{kind: rkInt, ints: out}
 }
 
 func toFloat(r result) result {
-	out := make([]float64, len(r.ints))
-	for i, v := range r.ints {
-		out[i] = float64(v)
+	out := make([]float64, lenOf(r))
+	if r.u32s != nil {
+		for i, v := range r.u32s {
+			out[i] = float64(v)
+		}
+	} else {
+		for i, v := range r.ints {
+			out[i] = float64(v)
+		}
 	}
-	return result{kind: rkFloat, floats: out}
+	return result{kind: rkFloat, scalar: r.scalar, floats: out}
 }
 
 func lenOf(r result) int {
-	switch r.kind {
-	case rkBool:
+	switch {
+	case r.kind == rkBool:
 		return len(r.bools)
-	case rkInt:
+	case r.u32s != nil:
+		return len(r.u32s)
+	case r.kind == rkInt:
 		return len(r.ints)
-	case rkFloat:
+	case r.kind == rkFloat:
 		return len(r.floats)
 	default:
 		return len(r.strs)
+	}
+}
+
+func fill(out []bool, v bool) {
+	for i := range out {
+		out[i] = v
+	}
+}
+
+// cmpUint32 compares a uint32 column against an integer literal without
+// widening the column: a literal outside the uint32 range decides every row
+// alike, and any other is compared in the column's own type.
+func cmpUint32(out []bool, op Op, l []uint32, v int64) {
+	switch {
+	case v < 0:
+		fill(out, op == OpNe || op == OpGt || op == OpGe)
+	case v > math.MaxUint32:
+		fill(out, op == OpNe || op == OpLt || op == OpLe)
+	default:
+		cmpScalar(out, op, l, uint32(v))
+	}
+}
+
+func cmpScalar[T uint32 | int64 | float64 | string](out []bool, op Op, l []T, v T) {
+	switch op {
+	case OpEq:
+		for i := range out {
+			out[i] = l[i] == v
+		}
+	case OpNe:
+		for i := range out {
+			out[i] = l[i] != v
+		}
+	case OpLt:
+		for i := range out {
+			out[i] = l[i] < v
+		}
+	case OpLe:
+		for i := range out {
+			out[i] = l[i] <= v
+		}
+	case OpGt:
+		for i := range out {
+			out[i] = l[i] > v
+		}
+	case OpGe:
+		for i := range out {
+			out[i] = l[i] >= v
+		}
 	}
 }
 
@@ -379,6 +498,30 @@ func cmpSlice[T int64 | float64 | string](out []bool, op Op, l, r []T) {
 	case OpGe:
 		for i := range out {
 			out[i] = l[i] >= r[i]
+		}
+	}
+}
+
+// arithScalar applies op between each element of l (converted to the result
+// type) and the literal v; litLeft puts the literal first, which only
+// subtraction can tell apart.
+func arithScalar[S uint32 | int64 | float64, T int64 | float64](out []T, op Op, l []S, v T, litLeft bool) {
+	switch {
+	case op == OpAdd:
+		for i := range out {
+			out[i] = T(l[i]) + v
+		}
+	case op == OpSub && litLeft:
+		for i := range out {
+			out[i] = v - T(l[i])
+		}
+	case op == OpSub:
+		for i := range out {
+			out[i] = T(l[i]) - v
+		}
+	case op == OpMul:
+		for i := range out {
+			out[i] = T(l[i]) * v
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package expr
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -260,5 +263,162 @@ func TestAvgOfEmptyState(t *testing.T) {
 	_, f, intg := (AggSpec{Func: AggAvg, Col: "v"}).FromState(hashtable.AggState{})
 	if intg || f != 0 {
 		t.Fatal("AVG of empty state should be float 0")
+	}
+}
+
+// refVal is one row's value under the reference semantics: every integer
+// column widened to int64, every literal a per-row constant.
+type refVal struct {
+	kind resultKind
+	b    bool
+	i    int64
+	f    float64
+	s    string
+}
+
+// refEval evaluates e on row i one value at a time — the semantics the
+// vectorised evaluator must reproduce, literals and all.
+func refEval(t *testing.T, e Expr, rel *storage.Relation, i int) refVal {
+	t.Helper()
+	switch e := e.(type) {
+	case IntLit:
+		return refVal{kind: rkInt, i: e.V}
+	case FloatLit:
+		return refVal{kind: rkFloat, f: e.V}
+	case StrLit:
+		return refVal{kind: rkString, s: e.V}
+	case Col:
+		v := rel.MustColumn(e.Name).ValueAt(i)
+		switch v.Kind {
+		case storage.KindFloat64:
+			return refVal{kind: rkFloat, f: v.F}
+		case storage.KindString:
+			return refVal{kind: rkString, s: v.S}
+		default:
+			return refVal{kind: rkInt, i: int64(v.U)}
+		}
+	case Bin:
+		l, r := refEval(t, e.L, rel, i), refEval(t, e.R, rel, i)
+		if l.kind == rkInt && r.kind == rkFloat {
+			l = refVal{kind: rkFloat, f: float64(l.i)}
+		}
+		if l.kind == rkFloat && r.kind == rkInt {
+			r = refVal{kind: rkFloat, f: float64(r.i)}
+		}
+		if e.Op.comparison() {
+			switch l.kind {
+			case rkInt:
+				return refVal{kind: rkBool, b: refCmp(e.Op, l.i, r.i)}
+			case rkFloat:
+				return refVal{kind: rkBool, b: refCmp(e.Op, l.f, r.f)}
+			default:
+				return refVal{kind: rkBool, b: refCmp(e.Op, l.s, r.s)}
+			}
+		}
+		if l.kind == rkFloat {
+			return refVal{kind: rkFloat, f: map[Op]float64{OpAdd: l.f + r.f, OpSub: l.f - r.f, OpMul: l.f * r.f}[e.Op]}
+		}
+		return refVal{kind: rkInt, i: map[Op]int64{OpAdd: l.i + r.i, OpSub: l.i - r.i, OpMul: l.i * r.i}[e.Op]}
+	}
+	t.Fatalf("refEval: unexpected %T", e)
+	return refVal{}
+}
+
+func refCmp[T cmp.Ordered](op Op, a, b T) bool {
+	switch op {
+	case OpEq:
+		return a == b
+	case OpNe:
+		return a != b
+	case OpLt:
+		return a < b
+	case OpLe:
+		return a <= b
+	case OpGt:
+		return a > b
+	default:
+		return a >= b
+	}
+}
+
+// TestScalarLiteralEquivalence checks the scalar-literal kernels against
+// the row-at-a-time reference: literals on either side, all six comparisons
+// directly and over + - *, every column kind, int<->float promotion, and
+// literals outside a uint32 column's range.
+func TestScalarLiteralEquivalence(t *testing.T) {
+	rel := storage.MustNewRelation("t",
+		storage.NewUint32("u", []uint32{0, 1, 7, 4_000_000_000, math.MaxUint32, 7}),
+		storage.NewUint64("w", []uint64{0, 1, 7, 1 << 40, 3, 7}),
+		storage.NewInt64("i", []int64{-9, 0, 7, math.MinInt32, 12, -1}),
+		storage.NewFloat64("f", []float64{-1.5, 0, 7, 7.25, math.Inf(1), -0.0}),
+		storage.NewString("s", []string{"", "b", "bb", "a", "c", "b"}),
+	)
+	cmps := []Op{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+	numLits := []Expr{IntLit{7}, IntLit{0}, IntLit{-1}, IntLit{-5_000_000_000},
+		IntLit{math.MaxUint32}, IntLit{math.MaxUint32 + 1}, FloatLit{7}, FloatLit{-0.5}, FloatLit{4e9}}
+	var exprs []Expr
+	for _, op := range cmps {
+		for _, c := range []string{"u", "w", "i", "f"} {
+			for _, lit := range numLits {
+				exprs = append(exprs, Bin{op, Col{c}, lit}, Bin{op, lit, Col{c}})
+				for _, ar := range []Op{OpAdd, OpSub, OpMul} {
+					exprs = append(exprs,
+						Bin{op, Bin{ar, Col{c}, lit}, IntLit{7}},
+						Bin{op, FloatLit{3.5}, Bin{ar, lit, Col{c}}})
+				}
+			}
+			exprs = append(exprs, Bin{op, Col{c}, Col{"u"}}, Bin{op, Bin{OpSub, Col{"i"}, Col{c}}, IntLit{0}})
+		}
+		for _, lit := range []string{"b", "", "bz"} {
+			exprs = append(exprs, Bin{op, Col{"s"}, StrLit{lit}}, Bin{op, StrLit{lit}, Col{"s"}})
+		}
+		exprs = append(exprs, Bin{op, IntLit{3}, FloatLit{3}}, Bin{op, Bin{OpSub, IntLit{1}, IntLit{4}}, IntLit{-3}})
+	}
+	for _, e := range exprs {
+		got, err := EvalPredicate(e, rel)
+		if err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		if len(got) != rel.NumRows() {
+			t.Fatalf("%s: %d results for %d rows", e, len(got), rel.NumRows())
+		}
+		for i := range got {
+			if want := refEval(t, e, rel, i).b; got[i] != want {
+				t.Errorf("%s row %d = %v, want %v", e, i, got[i], want)
+			}
+		}
+	}
+}
+
+// TestScalarBooleanOperands: literal-only predicates still yield one result
+// per row, and combine with per-row predicates through AND/OR.
+func TestScalarBooleanOperands(t *testing.T) {
+	rel := testRel(t)
+	always, never := Bin{OpEq, IntLit{1}, IntLit{1}}, Bin{OpLt, IntLit{2}, IntLit{1}}
+	row := Bin{OpLt, Col{"id"}, IntLit{3}} // true, true, false, false
+	cases := []struct {
+		e    Expr
+		want []bool
+	}{
+		{always, []bool{true, true, true, true}},
+		{never, []bool{false, false, false, false}},
+		{Bin{OpAnd, always, row}, []bool{true, true, false, false}},
+		{Bin{OpAnd, row, never}, []bool{false, false, false, false}},
+		{Bin{OpOr, never, row}, []bool{true, true, false, false}},
+		{Bin{OpOr, row, always}, []bool{true, true, true, true}},
+		{Bin{OpOr, never, always}, []bool{true, true, true, true}},
+	}
+	for _, c := range cases {
+		got, err := EvalPredicate(c.e, rel)
+		if err != nil {
+			t.Fatalf("%s: %v", c.e, err)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s = %v, want %v", c.e, got, c.want)
+		}
+	}
+	empty := storage.MustNewRelation("e", storage.NewUint32("id", nil))
+	if got, err := EvalPredicate(always, empty); err != nil || len(got) != 0 {
+		t.Fatalf("constant predicate over no rows = %v, %v", got, err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dqo/internal/qerr"
 )
@@ -136,12 +137,18 @@ func (c *Ctl) For(label string) *Ctl {
 
 // Err reports the query's cancellation state mapped onto the error taxonomy
 // (ErrCancelled / ErrTimeout). Nil receiver or nil context never cancels.
+// The deadline is checked against the clock as well as through Ctx.Err: the
+// context's timer cannot fire while the query's goroutines keep every P busy
+// (GOMAXPROCS=1), and a poll must not report an overrun query as healthy.
 func (c *Ctl) Err() error {
 	if c == nil || c.Ctx == nil {
 		return nil
 	}
 	if err := c.Ctx.Err(); err != nil {
 		return qerr.From(err)
+	}
+	if d, ok := c.Ctx.Deadline(); ok && !time.Now().Before(d) {
+		return qerr.From(context.DeadlineExceeded)
 	}
 	return nil
 }

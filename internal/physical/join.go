@@ -245,20 +245,41 @@ func joinMerge(left, right []uint32, ctl *govern.Ctl) (*JoinResult, error) {
 	}
 	rv := resv{ctl: ctl}
 	defer rv.release()
-	res := &JoinResult{SortedByKey: true}
-	emitted := 0
-	err := mergePairsErr(left, right, func(li, ri int32) error {
-		if emitted%checkEvery == 0 {
+	return mergeJoin(left, right, nil, nil, &rv, ctl)
+}
+
+// mergeJoin emits every (leftRow, rightRow) match of two sorted key arrays,
+// mapping sorted positions back to rows through lperm/rperm when they are
+// non-nil. It counts the matches first, charges them to rv, and fills
+// exactly sized outputs, so a selective join leaves no growth garbage.
+func mergeJoin(left, right []uint32, lperm, rperm []int32, rv *resv, ctl *govern.Ctl) (*JoinResult, error) {
+	n := 0
+	mergeRuns(left, right, func(i, iEnd, j, jEnd int) error {
+		n += (iEnd - i) * (jEnd - j)
+		return nil
+	})
+	if err := rv.add(int64(n) * 8); err != nil {
+		return nil, err
+	}
+	res := &JoinResult{LeftIdx: make([]int32, n), RightIdx: make([]int32, n), SortedByKey: true}
+	k, poll := 0, 0
+	err := mergeRuns(left, right, func(i, iEnd, j, jEnd int) error {
+		if k >= poll {
 			if err := ctl.Err(); err != nil {
 				return err
 			}
-			if err := rv.charge(int64(cap(res.LeftIdx)+cap(res.RightIdx)) * 4); err != nil {
-				return err
+			poll = k + checkEvery
+		}
+		for a := i; a < iEnd; a++ {
+			for b := j; b < jEnd; b++ {
+				li, ri := int32(a), int32(b)
+				if lperm != nil {
+					li, ri = lperm[a], rperm[b]
+				}
+				res.LeftIdx[k], res.RightIdx[k] = li, ri
+				k++
 			}
 		}
-		emitted++
-		res.LeftIdx = append(res.LeftIdx, li)
-		res.RightIdx = append(res.RightIdx, ri)
 		return nil
 	})
 	if err != nil {
@@ -267,9 +288,10 @@ func joinMerge(left, right []uint32, ctl *govern.Ctl) (*JoinResult, error) {
 	return res, nil
 }
 
-// mergePairsErr emits all (leftRow, rightRow) matches of two sorted key
-// arrays; a non-nil error from emit aborts the merge.
-func mergePairsErr(left, right []uint32, emit func(li, ri int32) error) error {
+// mergeRuns calls run for every key present in both sorted key arrays with
+// the row ranges [i, iEnd) and [j, jEnd) holding it; a non-nil error from run
+// aborts the merge.
+func mergeRuns(left, right []uint32, run func(i, iEnd, j, jEnd int) error) error {
 	i, j := 0, 0
 	for i < len(left) && j < len(right) {
 		switch {
@@ -287,12 +309,8 @@ func mergePairsErr(left, right []uint32, emit func(li, ri int32) error) error {
 			for jEnd < len(right) && right[jEnd] == k {
 				jEnd++
 			}
-			for a := i; a < iEnd; a++ {
-				for b := j; b < jEnd; b++ {
-					if err := emit(int32(a), int32(b)); err != nil {
-						return err
-					}
-				}
+			if err := run(i, iEnd, j, jEnd); err != nil {
+				return err
 			}
 			i, j = iEnd, jEnd
 		}
@@ -344,27 +362,7 @@ func joinSortMerge(left, right []uint32, opt JoinOptions) (*JoinResult, error) {
 	for i, p := range rperm {
 		rsorted[i] = right[p]
 	}
-	base := rv.held
-	res := &JoinResult{SortedByKey: true}
-	emitted := 0
-	err = mergePairsErr(lsorted, rsorted, func(li, ri int32) error {
-		if emitted%checkEvery == 0 {
-			if err := opt.Ctl.Err(); err != nil {
-				return err
-			}
-			if err := rv.charge(base + int64(cap(res.LeftIdx)+cap(res.RightIdx))*4); err != nil {
-				return err
-			}
-		}
-		emitted++
-		res.LeftIdx = append(res.LeftIdx, lperm[li])
-		res.RightIdx = append(res.RightIdx, rperm[ri])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return mergeJoin(lsorted, rsorted, lperm, rperm, &rv, opt.Ctl)
 }
 
 // joinBinarySearch is BSJ: sort a directory over the left side once, then

@@ -1,12 +1,15 @@
 package physical
 
 import (
+	"errors"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"dqo/internal/datagen"
+	"dqo/internal/govern"
 	"dqo/internal/props"
+	"dqo/internal/qerr"
 	"dqo/internal/sortx"
 	"dqo/internal/xrand"
 )
@@ -231,6 +234,33 @@ func TestOJOutputOrder(t *testing.T) {
 		t.Fatal("OJ output must be sorted by key")
 	}
 	checkJoin(t, "OJ", res, refJoin(left, right), left, right)
+}
+
+// TestMergeJoinsSizeOutputExactly: the merge joins count their matches
+// before materialising them, so the index slices are allocated at their
+// final size and the budget sees the whole output up front.
+func TestMergeJoinsSizeOutputExactly(t *testing.T) {
+	left := []uint32{1, 2, 2, 4, 4, 4, 9}
+	right := []uint32{2, 2, 3, 4, 4, 9, 9}
+	want := refJoin(left, right) // 4 + 6 + 2 = 12 pairs
+	for _, k := range []JoinKind{OJ, SOJ} {
+		budget := govern.NewBudget(1 << 20)
+		res, err := Join(k, left, right, props.Domain{}, JoinOptions{Ctl: &govern.Ctl{Mem: budget}})
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		checkJoin(t, k.String(), res, want, left, right)
+		if cap(res.LeftIdx) != len(want) || cap(res.RightIdx) != len(want) {
+			t.Fatalf("%s: output caps %d/%d, want exactly %d", k, cap(res.LeftIdx), cap(res.RightIdx), len(want))
+		}
+		if budget.Used() != 0 || budget.Peak() < int64(len(want))*8 {
+			t.Fatalf("%s: budget used %d peak %d, want 0 and >= %d", k, budget.Used(), budget.Peak(), len(want)*8)
+		}
+		tight := &govern.Ctl{Mem: govern.NewBudget(int64(len(want))*8 - 1)}
+		if _, err := Join(k, left, right, props.Domain{}, JoinOptions{Ctl: tight}); !errors.Is(err, qerr.ErrMemoryBudgetExceeded) {
+			t.Fatalf("%s under a budget one byte short of its output: err = %v", k, err)
+		}
+	}
 }
 
 func TestJoinFKPairAllKindsAgree(t *testing.T) {

@@ -67,8 +67,7 @@ func ProjectRel(rel *storage.Relation, cols ...string) (*storage.Relation, error
 	return rel.Project(cols...)
 }
 
-// SortRel returns rel sorted ascending by the key column (stable), and
-// records the resulting sortedness in the key column's statistics.
+// SortRel returns rel sorted ascending by the key column (stable).
 func SortRel(rel *storage.Relation, keyCol string, kind sortx.Kind) (*storage.Relation, error) {
 	keys, err := keyColumn(rel, keyCol)
 	if err != nil {
@@ -76,9 +75,7 @@ func SortRel(rel *storage.Relation, keyCol string, kind sortx.Kind) (*storage.Re
 	}
 	perm := sortx.ArgSortUint32(kind, keys)
 	out := rel.Gather(perm)
-	c := out.MustColumn(keyCol)
-	st := c.Stats() // computed on the gathered data; records Sorted = true
-	if !st.Sorted {
+	if !sortx.IsSortedUint32(out.MustColumn(keyCol).Uint32s()) {
 		return nil, fmt.Errorf("physical: SortRel postcondition violated on %q", keyCol)
 	}
 	return out, nil
@@ -117,9 +114,7 @@ func SortRelParCtl(rel *storage.Relation, keyCol string, kind sortx.Kind, worker
 		return nil, err
 	}
 	out := rel.GatherPar(perm, workers)
-	c := out.MustColumn(keyCol)
-	st := c.Stats()
-	if !st.Sorted {
+	if !sortx.IsSortedUint32(out.MustColumn(keyCol).Uint32s()) {
 		return nil, fmt.Errorf("physical: SortRelPar postcondition violated on %q", keyCol)
 	}
 	return out, nil
@@ -353,13 +348,8 @@ func joinRelImpl(left, right *storage.Relation, leftKey, rightKey string, kind J
 	if err != nil {
 		return nil, err
 	}
-	if res.SortedByKey {
-		// Record sortedness of the join key column in the output stats.
-		c := out.MustColumn(leftKey)
-		st := c.Stats()
-		if !st.Sorted {
-			return nil, fmt.Errorf("physical: join claimed sorted output but key column is not sorted")
-		}
+	if res.SortedByKey && !sortx.IsSortedUint32(out.MustColumn(leftKey).Uint32s()) {
+		return nil, fmt.Errorf("physical: join claimed sorted output but key column is not sorted")
 	}
 	return out, nil
 }

@@ -12,23 +12,30 @@ import (
 
 // Slice returns a relation viewing rows [lo, hi) of r without copying any
 // column data. Declared order correlations carry over (a contiguous row
-// subset of a correlated relation stays correlated); column statistics are
-// recomputed lazily per view.
+// subset of a correlated relation stays correlated). A full-range view
+// shares each column's statistics; a narrower one computes its own lazily.
 func (r *Relation) Slice(lo, hi int) *Relation {
-	cols := make([]*Column, len(r.cols))
-	for i, c := range r.cols {
-		cols[i] = c.Slice(lo, hi)
-	}
-	out := MustNewRelation(r.name, cols...)
+	out := MustNewRelation(r.name, r.sliceCols(lo, hi)...)
 	out.corrs = append([][2]string(nil), r.corrs...)
 	return out
 }
 
+// sliceCols returns zero-copy views of rows [lo, hi) of every column.
+func (r *Relation) sliceCols(lo, hi int) []*Column {
+	cols := make([]*Column, len(r.cols))
+	for i, c := range r.cols {
+		cols[i] = c.Slice(lo, hi)
+	}
+	return cols
+}
+
 // Concat concatenates batches with identical schemas (column names and
 // kinds, in order) into a single relation named after the first batch. A
-// single-batch input is returned as-is, without copying. String columns
-// sharing one dictionary keep it; batches with differing dictionaries are
-// re-interned into a fresh one.
+// single-batch input is returned as-is, without copying, and so is a column
+// whose batches are plain, in-order, back-to-back windows of one backing
+// array (the morsels a scan cut from it): the result views that array.
+// String columns sharing one dictionary keep it; batches with differing
+// dictionaries are re-interned into a fresh one.
 func Concat(parts []*Relation) (*Relation, error) {
 	if err := faultinject.Fire(faultinject.PointStorageConcat); err != nil {
 		return nil, err
@@ -72,31 +79,34 @@ func concatColumns(cols []*Column) (*Column, error) {
 		}
 		total += c.Len()
 	}
+	if v, ok := adjacentView(cols); ok {
+		return v, nil
+	}
 	switch first.kind {
 	case KindUint32:
 		out := make([]uint32, 0, total)
 		for _, c := range cols {
 			out = append(out, c.data32()...)
 		}
-		return &Column{name: first.name, kind: first.kind, u32: out}, nil
+		return &Column{name: first.name, kind: first.kind, u32: out, stats: new(statsCell)}, nil
 	case KindUint64:
 		out := make([]uint64, 0, total)
 		for _, c := range cols {
 			out = append(out, c.u64...)
 		}
-		return &Column{name: first.name, kind: first.kind, u64: out}, nil
+		return &Column{name: first.name, kind: first.kind, u64: out, stats: new(statsCell)}, nil
 	case KindInt64:
 		out := make([]int64, 0, total)
 		for _, c := range cols {
 			out = append(out, c.i64...)
 		}
-		return &Column{name: first.name, kind: first.kind, i64: out}, nil
+		return &Column{name: first.name, kind: first.kind, i64: out, stats: new(statsCell)}, nil
 	case KindFloat64:
 		out := make([]float64, 0, total)
 		for _, c := range cols {
 			out = append(out, c.f64...)
 		}
-		return &Column{name: first.name, kind: first.kind, f64: out}, nil
+		return &Column{name: first.name, kind: first.kind, f64: out, stats: new(statsCell)}, nil
 	case KindString:
 		shared := first.dict
 		for _, c := range cols {
@@ -110,7 +120,7 @@ func concatColumns(cols []*Column) (*Column, error) {
 			for _, c := range cols {
 				out = append(out, c.data32()...)
 			}
-			return &Column{name: first.name, kind: KindString, u32: out, dict: shared}, nil
+			return &Column{name: first.name, kind: KindString, u32: out, dict: shared, stats: new(statsCell)}, nil
 		}
 		// Differing dictionaries: re-intern by decoded value.
 		d := NewDict()
@@ -119,10 +129,60 @@ func concatColumns(cols []*Column) (*Column, error) {
 				out = append(out, d.Intern(c.dict.Lookup(code)))
 			}
 		}
-		return &Column{name: first.name, kind: KindString, u32: out, dict: d}, nil
+		return &Column{name: first.name, kind: KindString, u32: out, dict: d, stats: new(statsCell)}, nil
 	default:
 		return nil, fmt.Errorf("storage: Concat on invalid column %q", first.name)
 	}
+}
+
+// adjacentView returns one column viewing the rows of cols when they are
+// plain windows of a single backing array, each starting where the previous
+// one ends. Encoded columns, differing dictionaries and windows that are not
+// back to back report false and are copied instead.
+func adjacentView(cols []*Column) (*Column, bool) {
+	first := cols[0]
+	for _, c := range cols {
+		if c.enc != nil || c.dict != first.dict {
+			return nil, false
+		}
+	}
+	view := Column{name: first.name, kind: first.kind, dict: first.dict}
+	ok := false
+	switch first.kind {
+	case KindUint32, KindString:
+		view.u32, ok = joinWindows(cols, func(c *Column) []uint32 { return c.u32 })
+	case KindUint64:
+		view.u64, ok = joinWindows(cols, func(c *Column) []uint64 { return c.u64 })
+	case KindInt64:
+		view.i64, ok = joinWindows(cols, func(c *Column) []int64 { return c.i64 })
+	case KindFloat64:
+		view.f64, ok = joinWindows(cols, func(c *Column) []float64 { return c.f64 })
+	}
+	if !ok {
+		return nil, false
+	}
+	out := view
+	out.stats = new(statsCell)
+	return &out, true
+}
+
+// joinWindows extends the first window over each following one when that
+// one begins at the element just past it in the same backing array.
+func joinWindows[T any](cols []*Column, data func(*Column) []T) ([]T, bool) {
+	s := data(cols[0])
+	for _, c := range cols[1:] {
+		next := data(c)
+		switch {
+		case len(next) == 0:
+		case len(s) == 0:
+			s = next
+		case cap(s) >= len(s)+len(next) && &s[:len(s)+1][len(s)] == &next[0]:
+			s = s[:len(s)+len(next)]
+		default:
+			return nil, false
+		}
+	}
+	return s[:len(s):len(s)], true
 }
 
 // elemBytes is the per-row storage footprint of a column kind; dictionary

@@ -93,3 +93,140 @@ func TestMemBytes(t *testing.T) {
 		t.Fatalf("MemBytes = %d, want %d", got, 6*24)
 	}
 }
+
+func TestConcatAdjacentWindowsIsZeroCopy(t *testing.T) {
+	r := chunkTestRel(t)
+	parts := []*Relation{r.Slice(0, 2), r.Slice(2, 2), r.Slice(2, 3), r.Slice(3, 6)}
+	got, err := Concat(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(r) {
+		t.Fatalf("zero-copy concat differs from original:\n%s", got)
+	}
+	for _, name := range []string{"k", "s"} {
+		if &got.MustColumn(name).Uint32s()[0] != &r.MustColumn(name).Uint32s()[0] {
+			t.Errorf("%s: back-to-back windows were copied", name)
+		}
+	}
+	if &got.MustColumn("v").Int64s()[0] != &r.MustColumn("v").Int64s()[0] ||
+		&got.MustColumn("f").Float64s()[0] != &r.MustColumn("f").Float64s()[0] {
+		t.Error("back-to-back 8-byte windows were copied")
+	}
+	// The view must not let an append reach past its last row.
+	k := got.MustColumn("k").Uint32s()
+	if cap(k) != len(k) {
+		t.Fatalf("view cap %d exceeds its %d rows", cap(k), len(k))
+	}
+}
+
+func TestConcatCopiesWhenNotAdjacent(t *testing.T) {
+	r := chunkTestRel(t)
+	cases := map[string][]*Relation{
+		"gap":          {r.Slice(0, 2), r.Slice(3, 6)},
+		"out of order": {r.Slice(3, 6), r.Slice(0, 3)},
+		"overlap":      {r.Slice(0, 3), r.Slice(2, 4)},
+		"two arrays":   {r.Slice(0, 3), chunkTestRel(t).Slice(3, 6)},
+	}
+	for name, parts := range cases {
+		got, err := Concat(parts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := 0
+		for _, p := range parts {
+			want += p.NumRows()
+		}
+		if got.NumRows() != want {
+			t.Fatalf("%s: %d rows, want %d", name, got.NumRows(), want)
+		}
+		k := got.MustColumn("k").Uint32s()
+		if &k[0] == &r.MustColumn("k").Uint32s()[0] {
+			t.Errorf("%s: concat aliased the source array", name)
+		}
+		i := 0
+		for _, p := range parts {
+			for _, v := range p.MustColumn("k").Uint32s() {
+				if k[i] != v {
+					t.Fatalf("%s: row %d = %d, want %d", name, i, k[i], v)
+				}
+				i++
+			}
+		}
+	}
+}
+
+func TestConcatCopiesEncodedAndForeignDictWindows(t *testing.T) {
+	vals := make([]uint32, 3*DefaultSegmentRows)
+	for i := range vals {
+		vals[i] = uint32(i / 100) // long runs: encodes
+	}
+	enc := CompressColumn(NewUint32("k", vals), EncNone)
+	if enc.Encoding() == EncNone {
+		t.Fatal("test column did not encode")
+	}
+	n := len(vals)
+	got, err := Concat([]*Relation{
+		MustNewRelation("t", enc.Slice(0, n/2)), MustNewRelation("t", enc.Slice(n/2, n)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := got.MustColumn("k"); c.Encoding() != EncNone || !c.Equal(NewUint32("k", vals)) {
+		t.Fatal("encoded windows did not concatenate into a plain copy")
+	}
+
+	// Windows of one code array under two dictionaries are not one view.
+	codes := []uint32{0, 1, 0, 1}
+	d1, d2 := NewDict(), NewDict()
+	for _, s := range []string{"x", "y"} {
+		d1.Intern(s)
+	}
+	for _, s := range []string{"y", "x"} {
+		d2.Intern(s)
+	}
+	got, err = Concat([]*Relation{
+		MustNewRelation("t", NewStringCodes("s", codes, d1).Slice(0, 2)),
+		MustNewRelation("t", NewStringCodes("s", codes, d2).Slice(2, 4)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"x", "y", "y", "x"}
+	for i, w := range want {
+		if s := got.Row(i)[0].S; s != w {
+			t.Fatalf("row %d = %q, want %q", i, s, w)
+		}
+	}
+}
+
+func TestGatherRunIsZeroCopyView(t *testing.T) {
+	r := chunkTestRel(t)
+	r.DeclareCorr("k", "v")
+	for _, workers := range []int{1, 4} {
+		got := r.GatherPar([]int32{2, 3, 4}, workers)
+		if !got.Equal(r.Slice(2, 5)) {
+			t.Fatalf("workers=%d: run gather differs from the rows:\n%s", workers, got)
+		}
+		if &got.MustColumn("v").Int64s()[0] != &r.MustColumn("v").Int64s()[2] {
+			t.Fatalf("workers=%d: a consecutive run was copied", workers)
+		}
+		if len(got.Corrs()) != 0 {
+			t.Fatalf("workers=%d: gather carried correlations over", workers)
+		}
+	}
+	for _, idx := range [][]int32{{2, 4}, {3, 2}, {1, 1}, {}} {
+		got := r.Gather(idx)
+		if got.NumRows() != len(idx) {
+			t.Fatalf("%v: %d rows", idx, got.NumRows())
+		}
+		if len(idx) > 0 && &got.MustColumn("k").Uint32s()[0] == &r.MustColumn("k").Uint32s()[idx[0]] {
+			t.Fatalf("%v: not a run, but the gather aliases the source", idx)
+		}
+		for i, j := range idx {
+			if got.MustColumn("k").Uint32s()[i] != r.MustColumn("k").Uint32s()[j] {
+				t.Fatalf("%v: row %d wrong", idx, i)
+			}
+		}
+	}
+}

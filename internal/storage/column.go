@@ -2,8 +2,8 @@ package storage
 
 import (
 	"fmt"
-	"math"
 	"strconv"
+	"sync"
 )
 
 // Column is an immutable-by-convention typed column vector. Exactly one of
@@ -28,7 +28,18 @@ type Column struct {
 	// decoded lazily when a kernel asks for the raw slice. See segment.go.
 	enc *encview
 
-	stats *Stats // lazily computed or declared
+	stats *statsCell // never nil; shared by every view of the same rows
+}
+
+// statsCell is the single owner of a column's statistics. A column and all
+// its Rename views (and full-range Slices) share one cell, so the statistics
+// are computed at most once however many views the binder creates, and the
+// sync.Once makes that one computation safe under concurrent readers. A
+// registered table's cells are filled before it is published (see
+// Relation.PrimeStats), so queries only ever read them.
+type statsCell struct {
+	once sync.Once
+	st   Stats
 }
 
 // data32 returns the column's uint32 payload, decoding an encoded backing
@@ -52,22 +63,22 @@ func (c *Column) at32(i int) uint32 {
 
 // NewUint32 returns a uint32 column backed by vals (not copied).
 func NewUint32(name string, vals []uint32) *Column {
-	return &Column{name: name, kind: KindUint32, u32: vals}
+	return &Column{name: name, kind: KindUint32, u32: vals, stats: new(statsCell)}
 }
 
 // NewUint64 returns a uint64 column backed by vals (not copied).
 func NewUint64(name string, vals []uint64) *Column {
-	return &Column{name: name, kind: KindUint64, u64: vals}
+	return &Column{name: name, kind: KindUint64, u64: vals, stats: new(statsCell)}
 }
 
 // NewInt64 returns an int64 column backed by vals (not copied).
 func NewInt64(name string, vals []int64) *Column {
-	return &Column{name: name, kind: KindInt64, i64: vals}
+	return &Column{name: name, kind: KindInt64, i64: vals, stats: new(statsCell)}
 }
 
 // NewFloat64 returns a float64 column backed by vals (not copied).
 func NewFloat64(name string, vals []float64) *Column {
-	return &Column{name: name, kind: KindFloat64, f64: vals}
+	return &Column{name: name, kind: KindFloat64, f64: vals, stats: new(statsCell)}
 }
 
 // NewString returns a dictionary-encoded string column, interning vals into a
@@ -78,7 +89,7 @@ func NewString(name string, vals []string) *Column {
 	for i, s := range vals {
 		codes[i] = d.Intern(s)
 	}
-	return &Column{name: name, kind: KindString, u32: codes, dict: d}
+	return &Column{name: name, kind: KindString, u32: codes, dict: d, stats: new(statsCell)}
 }
 
 // NewStringCodes returns a string column over pre-encoded codes and a shared
@@ -89,7 +100,7 @@ func NewStringCodes(name string, codes []uint32, dict *Dict) *Column {
 			panic(fmt.Sprintf("storage: NewStringCodes: code %d at row %d out of range (dict size %d)", c, i, dict.Len()))
 		}
 	}
-	return &Column{name: name, kind: KindString, u32: codes, dict: dict}
+	return &Column{name: name, kind: KindString, u32: codes, dict: dict, stats: new(statsCell)}
 }
 
 // Name returns the column name.
@@ -118,7 +129,8 @@ func (c *Column) Len() int {
 }
 
 // Rename returns a column sharing this column's data under a new name.
-// Statistics carry over (they describe the data, not the name).
+// Statistics are shared, not copied: they describe the data, not the name,
+// so the view and the original compute them at most once between them.
 func (c *Column) Rename(name string) *Column {
 	nc := *c
 	nc.name = name
@@ -243,45 +255,37 @@ func (c *Column) ValueAt(i int) Value {
 	}
 }
 
-// Stats returns the column statistics, computing them exactly on first use.
-// For float columns only Rows and Sorted are meaningful.
+// Stats returns the column statistics, computing them exactly on first use
+// (at most once per cell, however many goroutines ask). For float columns
+// only Rows, Distinct and Sorted are meaningful.
 func (c *Column) Stats() Stats {
-	if c.stats == nil {
-		st := c.computeStats()
-		c.stats = &st
-	}
-	return *c.stats
+	c.stats.once.Do(func() { c.stats.st = c.computeStats() })
+	return c.stats.st
 }
 
 // SetStats installs declared statistics (e.g. ground truth from a dataset
 // generator) without scanning the data. Callers are trusted; tests verify
-// generators against computed stats on small instances.
-func (c *Column) SetStats(st Stats) { c.stats = &st }
+// generators against computed stats on small instances. Like ResetStats it
+// replaces the column's cell, so it belongs before the column is shared:
+// views renamed earlier keep the old cell.
+func (c *Column) SetStats(st Stats) {
+	c.stats = &statsCell{st: st}
+	c.stats.once.Do(func() {})
+}
 
 // ResetStats discards cached statistics, forcing recomputation.
-func (c *Column) ResetStats() { c.stats = nil }
+func (c *Column) ResetStats() { c.stats = new(statsCell) }
 
 func (c *Column) computeStats() Stats {
 	switch c.kind {
 	case KindUint32, KindString:
-		return statsForUint32(c.data32())
+		return keyStats(c.data32())
 	case KindUint64:
-		return computeStatsU64(c.u64)
+		return keyStats(c.u64)
 	case KindInt64:
-		return computeStatsU64(c.Keys())
+		return keyStats(c.Keys())
 	case KindFloat64:
-		st := Stats{Rows: len(c.f64), Sorted: true, Exact: true}
-		prev := math.Inf(-1)
-		distinct := make(map[float64]struct{})
-		for _, v := range c.f64 {
-			if v < prev {
-				st.Sorted = false
-			}
-			prev = v
-			distinct[v] = struct{}{}
-		}
-		st.Distinct = len(distinct)
-		return st
+		return statsForFloat64(c.f64)
 	default:
 		return Stats{}
 	}
@@ -302,25 +306,25 @@ func (c *Column) Gather(idx []int32) *Column {
 				out[i] = c.u32[j]
 			}
 		}
-		return &Column{name: c.name, kind: c.kind, u32: out, dict: c.dict}
+		return &Column{name: c.name, kind: c.kind, u32: out, dict: c.dict, stats: new(statsCell)}
 	case KindUint64:
 		out := make([]uint64, len(idx))
 		for i, j := range idx {
 			out[i] = c.u64[j]
 		}
-		return &Column{name: c.name, kind: c.kind, u64: out}
+		return &Column{name: c.name, kind: c.kind, u64: out, stats: new(statsCell)}
 	case KindInt64:
 		out := make([]int64, len(idx))
 		for i, j := range idx {
 			out[i] = c.i64[j]
 		}
-		return &Column{name: c.name, kind: c.kind, i64: out}
+		return &Column{name: c.name, kind: c.kind, i64: out, stats: new(statsCell)}
 	case KindFloat64:
 		out := make([]float64, len(idx))
 		for i, j := range idx {
 			out[i] = c.f64[j]
 		}
-		return &Column{name: c.name, kind: c.kind, f64: out}
+		return &Column{name: c.name, kind: c.kind, f64: out, stats: new(statsCell)}
 	default:
 		panic(fmt.Sprintf("storage: Gather on invalid column %q", c.name))
 	}
@@ -329,7 +333,7 @@ func (c *Column) Gather(idx []int32) *Column {
 // newGatherDst allocates a gather destination of c's kind with n rows,
 // sharing the dictionary (Gather never rewrites codes).
 func (c *Column) newGatherDst(n int) *Column {
-	out := &Column{name: c.name, kind: c.kind, dict: c.dict}
+	out := &Column{name: c.name, kind: c.kind, dict: c.dict, stats: new(statsCell)}
 	switch c.kind {
 	case KindUint32, KindString:
 		out.u32 = make([]uint32, n)
@@ -369,10 +373,13 @@ func (c *Column) gatherRange(dst *Column, idx []int32, lo, hi int) {
 	}
 }
 
-// Slice returns a column viewing rows [lo, hi) of c without copying.
+// Slice returns a column viewing rows [lo, hi) of c without copying. A
+// full-range view shares c's statistics; any narrower one gets its own.
 func (c *Column) Slice(lo, hi int) *Column {
 	nc := *c
-	nc.stats = nil
+	if lo != 0 || hi != c.Len() {
+		nc.stats = new(statsCell)
+	}
 	switch c.kind {
 	case KindUint32, KindString:
 		if c.enc != nil {

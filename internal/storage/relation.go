@@ -98,6 +98,15 @@ func (r *Relation) VerifyCorr(key, dep string) error {
 	return nil
 }
 
+// PrimeStats computes every column's statistics now. A relation about to be
+// published to concurrent queries is primed first, so planning only ever
+// reads its statistics and never pays for them.
+func (r *Relation) PrimeStats() {
+	for _, c := range r.cols {
+		c.Stats()
+	}
+}
+
 // NumRows returns the number of rows (0 for a column-less relation).
 func (r *Relation) NumRows() int {
 	if len(r.cols) == 0 {
@@ -156,8 +165,13 @@ func (r *Relation) Project(names ...string) (*Relation, error) {
 }
 
 // Gather returns a relation holding rows idx of r in that order, with every
-// column gathered.
+// column gathered. When idx is one ascending run of consecutive rows — a
+// selective filter over sorted data, the unique side of a join — the result
+// is a zero-copy view of those rows instead.
 func (r *Relation) Gather(idx []int32) *Relation {
+	if isRun(idx) {
+		return MustNewRelation(r.name, r.sliceCols(int(idx[0]), int(idx[0])+len(idx))...)
+	}
 	cols := make([]*Column, len(r.cols))
 	for i, c := range r.cols {
 		cols[i] = c.Gather(idx)
@@ -173,7 +187,7 @@ const minGatherPar = 1 << 14
 // into disjoint output ranges concurrently, so the result is identical to
 // Gather for any worker count.
 func (r *Relation) GatherPar(idx []int32, workers int) *Relation {
-	if workers <= 1 || len(idx) < minGatherPar {
+	if workers <= 1 || len(idx) < minGatherPar || isRun(idx) {
 		return r.Gather(idx)
 	}
 	cols := make([]*Column, len(r.cols))
@@ -202,6 +216,16 @@ func (r *Relation) GatherPar(idx []int32, workers int) *Relation {
 	// recover converts it to a typed internal error.
 	box.Rethrow()
 	return MustNewRelation(r.name, cols...)
+}
+
+// isRun reports whether idx is non-empty and counts up by one.
+func isRun(idx []int32) bool {
+	for i, j := range idx {
+		if j != idx[0]+int32(i) {
+			return false
+		}
+	}
+	return len(idx) > 0
 }
 
 // Row returns the dynamically typed values of row i, for printing.

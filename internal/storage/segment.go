@@ -574,11 +574,9 @@ func CompressColumn(c *Column, enc Encoding) *Column {
 	if p == nil {
 		return c
 	}
-	st := c.Stats()
-	nc := &Column{name: c.name, kind: c.kind, dict: c.dict,
-		enc: &encview{p: p, lo: 0, hi: p.Rows()}}
-	nc.SetStats(st)
-	return nc
+	c.Stats() // computed off the plain data: the encoded twin shares the cell
+	return &Column{name: c.name, kind: c.kind, dict: c.dict,
+		enc: &encview{p: p, lo: 0, hi: p.Rows()}, stats: c.stats}
 }
 
 // Compress returns a relation whose encodable columns are stored compressed

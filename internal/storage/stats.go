@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Stats describes the data properties of a column that the optimiser reasons
 // about. The paper (Section 2.2) lists sortedness and density explicitly and
@@ -42,60 +45,75 @@ func (s Stats) DenseDomain() (lo, hi uint64, ok bool) {
 	return s.Min, s.Max, true
 }
 
-// computeStatsU64 computes exact stats over keys already mapped to uint64.
-func computeStatsU64(keys []uint64) Stats {
+// keyStats computes exact stats over keys already mapped to an unsigned,
+// order-preserving key space.
+func keyStats[T uint32 | uint64](keys []T) Stats {
 	st := Stats{Rows: len(keys), Sorted: true, Exact: true}
 	if len(keys) == 0 {
 		st.Dense = true
 		return st
 	}
-	st.Min, st.Max = keys[0], keys[0]
-	distinct := make(map[uint64]struct{})
-	prev := keys[0]
+	mn, mx, prev := keys[0], keys[0], keys[0]
 	for _, k := range keys {
 		if k < prev {
 			st.Sorted = false
 		}
 		prev = k
-		if k < st.Min {
-			st.Min = k
-		}
-		if k > st.Max {
-			st.Max = k
-		}
-		distinct[k] = struct{}{}
+		mn = min(mn, k)
+		mx = max(mx, k)
 	}
-	st.Distinct = len(distinct)
+	st.Min, st.Max = uint64(mn), uint64(mx)
+	st.Distinct = distinctKeys(keys, st.Sorted, mn, mx)
 	st.Dense = uint64(st.Distinct) == st.Max-st.Min+1
 	return st
 }
 
-// statsForUint32 computes exact stats for a uint32 slice without the
-// per-element uint64 conversion allocating.
-func statsForUint32(keys []uint32) Stats {
-	st := Stats{Rows: len(keys), Sorted: true, Exact: true}
-	if len(keys) == 0 {
-		st.Dense = true
-		return st
+// distinctKeys counts the distinct keys in [mn, mx] exactly: by runs when
+// sorted, over a bitmap (at most one word per row) when the key span is
+// narrow, and with a hash set otherwise.
+func distinctKeys[T uint32 | uint64](keys []T, sorted bool, mn, mx T) int {
+	n := 0
+	switch {
+	case sorted:
+		n = 1
+		for i := 1; i < len(keys); i++ {
+			if keys[i] != keys[i-1] {
+				n++
+			}
+		}
+	case uint64(mx-mn) < 64*uint64(len(keys)):
+		bits := make([]uint64, uint64(mx-mn)/64+1)
+		for _, k := range keys {
+			d := uint64(k - mn)
+			w, b := d/64, uint64(1)<<(d%64)
+			if bits[w]&b == 0 {
+				bits[w] |= b
+				n++
+			}
+		}
+	default:
+		seen := make(map[T]struct{}, len(keys))
+		for _, k := range keys {
+			seen[k] = struct{}{}
+		}
+		n = len(seen)
 	}
-	mn, mx := keys[0], keys[0]
-	distinct := make(map[uint32]struct{})
-	prev := keys[0]
-	for _, k := range keys {
-		if k < prev {
+	return n
+}
+
+// statsForFloat64 computes stats for a float column: only Rows, Distinct
+// and Sorted are meaningful.
+func statsForFloat64(vals []float64) Stats {
+	st := Stats{Rows: len(vals), Sorted: true, Exact: true}
+	prev := math.Inf(-1)
+	distinct := make(map[float64]struct{})
+	for _, v := range vals {
+		if v < prev {
 			st.Sorted = false
 		}
-		prev = k
-		if k < mn {
-			mn = k
-		}
-		if k > mx {
-			mx = k
-		}
-		distinct[k] = struct{}{}
+		prev = v
+		distinct[v] = struct{}{}
 	}
-	st.Min, st.Max = uint64(mn), uint64(mx)
 	st.Distinct = len(distinct)
-	st.Dense = uint64(st.Distinct) == st.Max-st.Min+1
 	return st
 }

@@ -2,7 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -581,4 +584,79 @@ func TestValueStringRendering(t *testing.T) {
 	if (Value{}).String() != "<invalid>" {
 		t.Fatal("invalid value rendering wrong")
 	}
+}
+
+// TestStatsDistinctStrategiesAgree pins the three exact distinct counters —
+// runs over sorted keys, a bitmap over a narrow span, a hash set over a wide
+// one — against a plain map, for both key widths.
+func TestStatsDistinctStrategiesAgree(t *testing.T) {
+	f := func(vals []uint32, spread uint8, sortFirst bool) bool {
+		for i := range vals {
+			// A narrow span for most inputs; spread 0 keeps full-width keys.
+			if spread != 0 {
+				vals[i] = 1_000_000 + vals[i]%(uint32(spread)*4)
+			}
+		}
+		if sortFirst {
+			slices.Sort(vals)
+		}
+		want := map[uint32]bool{}
+		for _, v := range vals {
+			want[v] = true
+		}
+		u64 := make([]uint64, len(vals))
+		for i, v := range vals {
+			u64[i] = uint64(v) << 20
+		}
+		a, b := NewUint32("k", vals).Stats(), NewUint64("k", u64).Stats()
+		return a.Distinct == len(want) && b.Distinct == len(want) &&
+			a.Sorted == b.Sorted && a.Dense == (len(vals) == 0 || uint64(len(want)) == a.Max-a.Min+1)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRenameViewSharesStats: a Rename view of a primed (registered) column
+// reads the one computed result and never computes its own. The backing
+// array is changed after priming — forbidden in real use — so a recompute
+// would show up as different stats.
+func TestRenameViewSharesStats(t *testing.T) {
+	vals := []uint32{3, 1, 2}
+	rel := MustNewRelation("t", NewUint32("a", vals))
+	rel.PrimeStats()
+	want := rel.MustColumn("a").Stats()
+	vals[0] = 100
+	view := rel.MustColumn("a").Rename("t.a")
+	if got := view.Stats(); got != want {
+		t.Fatalf("renamed view recomputed stats: %+v, want %+v", got, want)
+	}
+	if got := view.Rename("u.a").Slice(0, 3).Stats(); got != want {
+		t.Fatalf("full-range slice of a view recomputed stats: %+v, want %+v", got, want)
+	}
+	if got := view.Slice(0, 1).Stats(); got.Rows != 1 || got.Max != 100 {
+		t.Fatalf("narrow slice shares its parent's stats: %+v", got)
+	}
+}
+
+// TestStatsConcurrentFirstUse: many goroutines asking an unprimed column and
+// its views for stats at once compute them once and agree (run with -race).
+func TestStatsConcurrentFirstUse(t *testing.T) {
+	vals := make([]uint32, 10000)
+	for i := range vals {
+		vals[i] = uint32(i * 7 % 1000)
+	}
+	c := NewUint32("k", vals)
+	want := keyStats(vals)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if st := c.Rename(fmt.Sprintf("v%d.k", g)).Stats(); st != want {
+				t.Errorf("goroutine %d: %+v, want %+v", g, st, want)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

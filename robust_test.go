@@ -3,6 +3,7 @@ package dqo
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -205,5 +206,65 @@ func TestNoBudgetPlanIdentity(t *testing.T) {
 	}
 	if plain.String() != opted.String() {
 		t.Fatal("MemoryLimit=0 changed the result")
+	}
+}
+
+// TestConcurrentFirstQueries registers fresh tables and lets several
+// goroutines run their first queries on them at once, across every
+// planning mode: statistics are read concurrently through each query's own
+// binder views (run with -race), and every answer matches the data.
+func TestConcurrentFirstQueries(t *testing.T) {
+	const workers, n = 8, 4000
+	modes := []Mode{ModeSQO, ModeDQO, ModeDQOCalibrated, ModeGreedy}
+	db := Open()
+	for round := 0; round < 3; round++ {
+		ids, as := make([]uint32, n), make([]uint32, n)
+		rids := make([]uint32, 3*n)
+		for i := range ids {
+			ids[i] = uint32(i)
+			as[i] = uint32((i*7 + round) % 50)
+		}
+		for i := range rids {
+			rids[i] = uint32((i*13 + round) % n)
+		}
+		wantJoin := 0
+		for _, r := range rids {
+			if as[r] < 10 {
+				wantJoin++
+			}
+		}
+		if err := db.Register(NewTableBuilder("R").Uint32("ID", ids).Uint32("A", as).MustBuild()); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Register(NewTableBuilder("S").Uint32("R_ID", rids).MustBuild()); err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		errc := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				<-start
+				mode := modes[w%len(modes)]
+				q := "SELECT R.A, S.R_ID FROM R JOIN S ON R.ID = S.R_ID WHERE R.A < 10"
+				want := wantJoin
+				if w%2 == 1 {
+					q, want = "SELECT R.ID FROM R WHERE R.A = 3", n/50
+				}
+				res, err := db.Query(context.Background(), mode, q)
+				if err == nil && res.NumRows() != want {
+					err = fmt.Errorf("%d rows, want %d", res.NumRows(), want)
+				}
+				if err != nil {
+					err = fmt.Errorf("round %d worker %d (%s): %w", round, w, mode, err)
+				}
+				errc <- err
+			}(w)
+		}
+		close(start)
+		for w := 0; w < workers; w++ {
+			if err := <-errc; err != nil {
+				t.Error(err)
+			}
+		}
 	}
 }
