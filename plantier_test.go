@@ -12,15 +12,17 @@ import (
 	"dqo/internal/storage"
 )
 
-// TestBeamZeroDeepPlansGolden pins the Beam=0 contract: with no beam set,
-// the DP tiers' chosen plans must stay byte-identical to the plans captured
-// before the beam knob existed. The golden file was generated from the
-// pre-beam optimiser over the full corpus; run with -update only if a
-// deliberate planner change moves the plans.
+// TestBeamZeroDeepPlansGolden pins the chosen plans of every planning tier
+// over the full corpus at a declared DOP (workers 1 and 4). The DP sections
+// (dqo, dqo-calibrated) hold the Beam=0 contract: with no beam set, the
+// chosen plans stay byte-identical to the plans captured before the beam
+// knob existed. The greedy sections pin the single-pass tier, which shares
+// the DP's granule builders and differs only in its search policy. Run with
+// -update only if a deliberate planner change moves the plans.
 func TestBeamZeroDeepPlansGolden(t *testing.T) {
 	db := corpusDB(t)
 	var b strings.Builder
-	for _, mode := range []Mode{ModeDQO, ModeDQOCalibrated} {
+	for _, mode := range []Mode{ModeDQO, ModeDQOCalibrated, ModeGreedy} {
 		for _, workers := range []int{1, 4} {
 			for _, query := range corpusQueries {
 				res, _, err := db.compile(mode, query, queryConfig{workers: workers}, nil)
@@ -43,7 +45,7 @@ func TestBeamZeroDeepPlansGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b.String() != string(want) {
-		t.Errorf("Beam=0 plans drifted from the pre-beam golden plans (re-run with -update only if the planner change is deliberate)\ngot:\n%s", b.String())
+		t.Errorf("plans drifted from the golden plans (re-run with -update only if the planner change is deliberate)\ngot:\n%s", b.String())
 	}
 }
 
