@@ -624,7 +624,7 @@ func (db *DB) Explain(mode Mode, query string, opts ...ExplainOption) (string, e
 		return "", err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "mode=%s model=%s tier=%s", res.Mode.Name, res.Mode.Model.Name(), pt.tier)
+	fmt.Fprintf(&b, "mode=%s model=%s tier=%s dop=%d", res.Mode.Name, res.Mode.Model.Name(), pt.tier, res.Mode.DOP)
 	if pt.beam > 0 {
 		fmt.Fprintf(&b, " beam=%d", pt.beam)
 	}

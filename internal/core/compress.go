@@ -6,8 +6,9 @@ import (
 )
 
 // Helpers bridging storage segment encodings into the optimiser's property
-// space. The compressed granule twins enumerated in optimizer.go/greedy.go
-// are costed from exact zone-map metadata via these.
+// space. The compressed granule builders (scanPlan with an encoding and
+// encFilterPlan, granules.go) gate on and cost from exact zone-map metadata
+// via these; every planning tier reaches the twins through those builders.
 
 // encCompression maps a storage encoding onto the compression property
 // dimension the paper names (props.Compression).

@@ -3,10 +3,13 @@ package core
 import (
 	"testing"
 
+	"dqo/internal/cost"
 	"dqo/internal/datagen"
 	"dqo/internal/expr"
 	"dqo/internal/logical"
 	"dqo/internal/physical"
+	"dqo/internal/props"
+	"dqo/internal/storage"
 )
 
 // greedyQuery builds the paper's join+group query over a small FK pair.
@@ -114,6 +117,68 @@ func TestGreedyProvablyEmpty(t *testing.T) {
 	}
 	if out.NumRows() != 0 {
 		t.Fatalf("executed %d rows", out.NumRows())
+	}
+}
+
+// fixedCrack is a cracked-index AV on every (table, column) for planning
+// tests; it is never probed.
+type fixedCrack struct{}
+
+func (fixedCrack) Cracked(table, col string) (RangeIndex, bool) { return fixedCrack{}, true }
+func (fixedCrack) Range64(lo, hi uint64) []int32                { return nil }
+func (fixedCrack) Label() string                                { return "av:crack" }
+
+// flatEncScan prices the compressed-scan twin exactly like the plain scan,
+// as the Paper model does and as feedback may tune the calibrated one to.
+type flatEncScan struct{ cost.Model }
+
+func (m flatEncScan) ScanCompressed(rows float64, _ props.Compression) float64 { return m.Scan(rows) }
+
+// TestGreedySubsumedScanEncoding: the cracked-index and direct-on-compressed
+// filters replace their child scan at compile time, so the child only sets
+// the price and the EXPLAIN text, and it must show the storage the kernel
+// reads — the plain relation the crack's positions index, the encoded
+// payload the compressed filter compares in — whichever standalone scan
+// twin is cheaper.
+func TestGreedySubsumedScanEncoding(t *testing.T) {
+	k := make([]uint32, 20000)
+	for i := range k {
+		k[i] = uint32(i / 100)
+	}
+	rel := storage.MustNewRelation("t", storage.NewUint32("k", k)).Compress()
+	if !rel.HasEncoded() {
+		t.Fatal("test relation did not compress")
+	}
+	q := &logical.Filter{
+		Input: &logical.Scan{Table: "t", Rel: rel},
+		Pred:  expr.Bin{Op: expr.OpLt, L: expr.Col{Name: "k"}, R: expr.IntLit{V: 5}},
+	}
+	crack := Greedy().WithCracked(fixedCrack{})
+	enc := Greedy()
+	enc.Model = flatEncScan{enc.Model}
+	for _, c := range []struct {
+		name    string
+		mode    Mode
+		crack   bool
+		wantEnc bool
+	}{
+		{"cracked", crack, true, false},
+		{"compressed", enc, false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.mode.DOP = 1
+			res, err := Optimize(q, c.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := res.Best
+			if f.Op != OpFilter || (f.Crack != nil) != c.crack || (f.Enc != props.NoCompression) == c.crack {
+				t.Fatalf("greedy picked %s, want the %s filter", f.Label(), c.name)
+			}
+			if got := f.Children[0].Enc != props.NoCompression; got != c.wantEnc {
+				t.Fatalf("%s filter over %s, want compressed child = %v", c.name, f.Children[0].Label(), c.wantEnc)
+			}
+		})
 	}
 }
 

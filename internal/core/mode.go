@@ -21,14 +21,15 @@ type Mode struct {
 	// Depth selects the enumeration granularity (physio.Shallow: one opaque
 	// choice per algorithm family; physio.Deep: the molecule space).
 	Depth physio.Depth
-	// Greedy selects the fast planning tier: instead of dynamic programming
-	// over the full (deep) choice space, the optimiser walks the logical
-	// tree once, ordering join build/probe roles by visible selectivity
-	// (literal predicates, cracked-index ranges, AV availability) and
-	// picking each granule with a single cost-model probe per candidate. It
-	// early-exits the probing on provably-empty intermediates. Planning
-	// drops from exponential in the plan shape to linear; plan quality
-	// depends on selectivity being visible, per the greedy-joins design.
+	// Greedy selects the greedy search policy over the same granule
+	// builders the DP uses: instead of keeping a Pareto table per site, the
+	// optimiser walks the logical tree once, ordering join build/probe
+	// roles by visible selectivity (literal predicates, cracked-index
+	// ranges, AV availability), probing the cost model once per candidate
+	// granule and building only the winner. It early-exits the probing on
+	// provably-empty intermediates. Planning drops from exponential in the
+	// plan shape to linear; plan quality depends on selectivity being
+	// visible, per the greedy-joins design.
 	Greedy bool
 	// Beam, when > 0, caps the DP table to the Beam cheapest
 	// property-distinct partial plans per site, turning Deep-mode planning

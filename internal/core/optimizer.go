@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"dqo/internal/cost"
 	"dqo/internal/feedback"
 	"dqo/internal/hashtable"
 	"dqo/internal/logical"
@@ -179,38 +178,6 @@ func (o *optimizer) beamCap(plans []*Plan) []*Plan {
 	}
 	sort.SliceStable(plans, func(i, j int) bool { return plans[i].Cost < plans[j].Cost })
 	return plans[:o.mode.Beam]
-}
-
-// setFootprint derives the node's estimated output row width and peak
-// resident memory (Plan.Width / Plan.Mem) from its children: breakers
-// account their materialised input, kernel working set, and output;
-// streaming operators only what their consumer accumulates. Join and group
-// nodes compute theirs inline where the distinct counts are at hand.
-func setFootprint(p *Plan) {
-	switch p.Op {
-	case OpScan:
-		p.Width = 8
-		if n := p.Rel.NumRows(); n > 0 {
-			p.Width = float64(p.Rel.MemBytes()) / float64(n)
-		}
-		p.Mem = 0 // morsels are zero-copy views of the base table
-	case OpFilter:
-		c := p.Children[0]
-		p.Width = c.Width
-		p.Mem = math.Max(c.Mem, p.Rows*p.Width)
-	case OpProject:
-		c := p.Children[0]
-		p.Width = 8 * float64(len(p.Cols))
-		if c.Width > 0 && p.Width > c.Width {
-			p.Width = c.Width
-		}
-		p.Mem = c.Mem
-	case OpSort:
-		c := p.Children[0]
-		p.Width = c.Width
-		resident := c.Rows*c.Width + cost.MemSort(c.Rows, p.DOP > 1) + p.Rows*p.Width
-		p.Mem = math.Max(c.Mem, resident)
-	}
 }
 
 // pruneMem drops alternatives whose estimated peak memory exceeds the
@@ -397,52 +364,33 @@ func isStreamSegment(p *Plan) bool {
 	}
 }
 
+// offer appends a costed alternative to a site's candidate list, counting
+// it in the run's statistics.
+func (o *optimizer) offer(out []*Plan, p *Plan) []*Plan {
+	o.stats.Alternatives++
+	return append(out, p)
+}
+
 func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 	switch n := n.(type) {
 	case *logical.Scan:
-		rows := o.estimator().Estimate(n)
-		p := &Plan{
-			Op: OpScan, Table: n.Table, Rel: n.Rel,
-			Props: o.scanPropsOf(n.Rel),
-			Rows:  rows,
-		}
-		p.Cost = o.mode.Model.Scan(p.Rows)
-		setFootprint(p)
-		o.stats.Alternatives++
-		out := []*Plan{p}
+		out := o.offer(nil, o.scanPlan(n, n.Rel, "", props.NoCompression))
 		if o.mode.Scans != nil {
 			// Algorithmic-View access paths: materialised variants of the
 			// table (e.g. sorted projections) start the plan from different
 			// physical properties at plain scan cost.
 			for _, v := range o.mode.Scans.ScanVariants(n.Table) {
-				vp := &Plan{
-					Op: OpScan, Table: n.Table, Rel: v.Rel, AV: v.Label,
-					Props: o.scanPropsOf(v.Rel),
-					Rows:  rows,
-					Cost:  o.mode.Model.Scan(rows),
-				}
-				setFootprint(vp)
-				o.stats.Alternatives++
-				out = append(out, vp)
+				out = o.offer(out, o.scanPlan(n, v.Rel, v.Label, props.NoCompression))
 			}
 		}
-		// Compressed-scan granule twin: decode every segment once and stream
-		// plain morsels, instead of per-morsel lazy views of the encoded
-		// payload. Identical output and properties, so it competes purely on
-		// cost — models blind to storage format (Paper) price it as an exact
-		// tie, which the first-enumerated plain scan wins. Deep-only: shallow
-		// enumeration stays at the classical operator boundary.
+		// Compressed-scan twin: identical output and properties, so it
+		// competes purely on cost — models blind to storage format (Paper)
+		// price it as an exact tie, which the first-enumerated plain scan
+		// wins. Deep-only: shallow enumeration stays at the classical
+		// operator boundary.
 		if o.mode.Depth == physio.Deep {
 			if enc := relCompression(n.Rel); enc != props.NoCompression {
-				cp := &Plan{
-					Op: OpScan, Table: n.Table, Rel: n.Rel, Enc: enc,
-					Props: o.scanPropsOf(n.Rel),
-					Rows:  rows,
-					Cost:  o.mode.Model.ScanCompressed(rows, enc),
-				}
-				setFootprint(cp)
-				o.stats.Alternatives++
-				out = append(out, cp)
+				out = o.offer(out, o.scanPlan(n, n.Rel, "", enc))
 			}
 		}
 		return o.keepPareto(out), nil
@@ -455,102 +403,17 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 		rows := o.estimator().Estimate(n)
 		var out []*Plan
 		for _, c := range children {
-			p := &Plan{
-				Op: OpFilter, Children: []*Plan{c}, Pred: n.Pred,
-				// Filtering preserves order, clustering, correlations, and
-				// domains-as-bounds (a filtered dense domain stays
-				// SPH-addressable; it is merely no longer minimal).
-				Props: c.Props,
-				Rows:  rows,
-				Cost:  c.Cost + o.mode.Model.Filter(c.Rows),
-			}
-			setFootprint(p)
-			o.stats.Alternatives++
-			out = append(out, p)
-			// Parallel variant: fan the streaming segment below across a
-			// morsel pipe. The pipe re-emits morsels in input order, so the
-			// properties are identical to the serial filter — parallelism is
-			// purely a cost trade the model prices with its Parallel term.
+			out = o.offer(out, o.filterPlan(n, c, rows, 0))
 			if dop := o.dop(); dop > 1 && isStreamSegment(c) {
-				o.stats.Alternatives++
-				pp := &Plan{
-					Op: OpFilter, Children: []*Plan{c}, Pred: n.Pred, DOP: dop,
-					Props: c.Props,
-					Rows:  rows,
-					Cost:  c.Cost + o.mode.Model.Parallel(o.mode.Model.Filter(c.Rows), dop),
-				}
-				setFootprint(pp)
-				out = append(out, pp)
+				out = o.offer(out, o.filterPlan(n, c, rows, dop))
 			}
 		}
-		// Adaptive-index AV: a range filter directly over a base scan can be
-		// answered by the cracked index, touching only qualifying pieces.
-		// The crack emits rows in piece order, so order knowledge is lost.
-		if o.mode.CrackedIdx != nil {
-			if scan, isScan := n.Input.(*logical.Scan); isScan {
-				if col, lo, hi, ok := predRange(n.Pred); ok {
-					if idx, have := o.mode.CrackedIdx.Cracked(scan.Table, col); have {
-						base := &Plan{
-							Op: OpScan, Table: scan.Table, Rel: scan.Rel,
-							Props: o.scanPropsOf(scan.Rel),
-							Rows:  o.estimator().Estimate(scan),
-							Cost:  o.mode.Model.Scan(o.estimator().Estimate(scan)),
-						}
-						setFootprint(base)
-						o.stats.Alternatives++
-						cp := &Plan{
-							Op: OpFilter, Children: []*Plan{base}, Pred: n.Pred,
-							AV: idx.Label(), Crack: idx, CrackLo: lo, CrackHi: hi,
-							Props: base.Props.DropOrder(),
-							Rows:  rows,
-							// Only qualifying rows are touched (cracking
-							// cost amortises to ~zero over a workload).
-							Cost: base.Cost + o.mode.Model.Filter(rows),
-						}
-						setFootprint(cp)
-						out = append(out, cp)
-					}
-				}
-			}
+		if cp := o.crackFilterPlan(n, rows); cp != nil {
+			out = o.offer(out, cp)
 		}
-		// Direct-on-compressed filter granule: a range predicate over a base
-		// scan of an encoded column runs on the compressed payload itself —
-		// zone maps answer whole segments, RLE runs decide once per run,
-		// packed segments compare in delta space — and only qualifying rows
-		// are gathered (ascending, so output order and hence properties match
-		// the decoded filter exactly). The cost model sees the exact zone-map
-		// census: segments skipped and the encoded units left to compare.
 		if o.mode.Depth == physio.Deep {
-			if scan, isScan := n.Input.(*logical.Scan); isScan {
-				if col, lo, hi, ok := predRange(n.Pred); ok {
-					if plo, phi, okb := encBounds(lo, hi); okb {
-						if enc, skipped, total, work, oke := encFilterTarget(scan.Rel, col, plo, phi); oke {
-							scanRows := o.estimator().Estimate(scan)
-							// The kernel reads the encoded payload, so the
-							// subsumed base scan is priced (and displayed) as
-							// its compressed twin.
-							base := &Plan{
-								Op: OpScan, Table: scan.Table, Rel: scan.Rel,
-								Enc:   relCompression(scan.Rel),
-								Props: o.scanPropsOf(scan.Rel),
-								Rows:  scanRows,
-								Cost:  o.mode.Model.ScanCompressed(scanRows, enc),
-							}
-							setFootprint(base)
-							o.stats.Alternatives++
-							ep := &Plan{
-								Op: OpFilter, Children: []*Plan{base}, Pred: n.Pred,
-								Enc: enc, EncCol: col, EncLo: plo, EncHi: phi,
-								SegsSkipped: skipped, SegsTotal: total,
-								Props: base.Props,
-								Rows:  rows,
-								Cost:  base.Cost + o.mode.Model.FilterCompressed(scanRows, float64(work), rows, enc),
-							}
-							setFootprint(ep)
-							out = append(out, ep)
-						}
-					}
-				}
+			if ep := o.encFilterPlan(n, rows); ep != nil {
+				out = o.offer(out, ep)
 			}
 		}
 		return o.keepPareto(out), nil
@@ -562,22 +425,7 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 		}
 		var out []*Plan
 		for _, c := range children {
-			dop := 0
-			if c.Op == OpFilter || c.Op == OpProject {
-				// Projection is zero-cost; it inherits the child's pipe
-				// membership so a project above a parallel filter stays
-				// inside the same morsel pipe.
-				dop = c.DOP
-			}
-			p := &Plan{
-				Op: OpProject, Children: []*Plan{c}, Cols: n.Cols, DOP: dop,
-				Props: c.Props.Project(n.Cols...),
-				Rows:  c.Rows,
-				Cost:  c.Cost,
-			}
-			setFootprint(p)
-			o.stats.Alternatives++
-			out = append(out, p)
+			out = o.offer(out, projectPlan(n, c))
 		}
 		return o.keepPareto(out), nil
 
@@ -589,19 +437,11 @@ func (o *optimizer) optimize(n logical.Node) ([]*Plan, error) {
 		var out []*Plan
 		for _, c := range children {
 			if c.Props.SortedOn(n.Key) {
-				// Already sorted: the sort is a no-op; keep the child as-is
-				// wrapped for plan-shape fidelity at zero cost.
-				np := &Plan{
-					Op: OpSort, Children: []*Plan{c}, SortKey: n.Key, SortKind: sortx.Radix,
-					Props: c.Props, Rows: c.Rows, Cost: c.Cost,
-				}
-				setFootprint(np)
-				out = append(out, np)
-				o.stats.Alternatives++
+				out = o.offer(out, noopSortPlan(c, n.Key))
 				continue
 			}
 			for _, sk := range o.sortKinds() {
-				out = append(out, o.sortVariants(c, n.Key, sk, false)...)
+				out = o.sortVariants(out, c, n.Key, sk, false)
 			}
 		}
 		return o.keepPareto(o.pruneMem(out)), nil
@@ -632,36 +472,12 @@ func (o *optimizer) joinOutProps(ch physio.JoinChoice, build, probe props.Set, b
 	return out
 }
 
-// sortPlan wraps child in a sort by key (enforcer or user sort).
-func (o *optimizer) sortPlan(child *Plan, key string, sk sortx.Kind, enforcer bool) *Plan {
-	o.stats.Alternatives++
-	p := &Plan{
-		Op: OpSort, Children: []*Plan{child},
-		SortKey: key, SortKind: sk, Enforcer: enforcer,
-		Props: child.Props.AfterSortBy(key),
-		Rows:  child.Rows,
-		Cost:  child.Cost + o.mode.Model.SortBy(child.Rows, sk),
-	}
-	setFootprint(p)
-	return p
-}
-
-// sortVariants enumerates the serial sort plus, at deep DOP > 1, its
-// parallel twin (per-worker sorted runs + k-way merge — identical output, so
-// identical properties; only the cost differs).
-func (o *optimizer) sortVariants(child *Plan, key string, sk sortx.Kind, enforcer bool) []*Plan {
-	out := []*Plan{o.sortPlan(child, key, sk, enforcer)}
+// sortVariants offers the serial sort of child by key plus, at deep DOP > 1,
+// its parallel twin (per-worker sorted runs + k-way merge).
+func (o *optimizer) sortVariants(out []*Plan, child *Plan, key string, sk sortx.Kind, enforcer bool) []*Plan {
+	out = o.offer(out, o.sortPlan(child, key, sk, enforcer, 0))
 	if dop := o.dop(); dop > 1 {
-		o.stats.Alternatives++
-		pp := &Plan{
-			Op: OpSort, Children: []*Plan{child},
-			SortKey: key, SortKind: sk, Enforcer: enforcer, DOP: dop,
-			Props: child.Props.AfterSortBy(key),
-			Rows:  child.Rows,
-			Cost:  child.Cost + o.mode.Model.Parallel(o.mode.Model.SortBy(child.Rows, sk), dop),
-		}
-		setFootprint(pp)
-		out = append(out, pp)
+		out = o.offer(out, o.sortPlan(child, key, sk, enforcer, dop))
 	}
 	return out
 }
@@ -676,7 +492,7 @@ func (o *optimizer) withEnforcers(plans []*Plan, key string) []*Plan {
 			continue
 		}
 		for _, sk := range o.sortKinds() {
-			out = append(out, o.sortVariants(p, key, sk, true)...)
+			out = o.sortVariants(out, p, key, sk, true)
 		}
 	}
 	return o.keepPareto(out)
@@ -695,111 +511,41 @@ func (o *optimizer) optimizeJoin(n *logical.Join) ([]*Plan, error) {
 	rights = o.withEnforcers(rights, n.RightKey)
 
 	rows := o.estimator().Estimate(n)
-	keyDistinct := o.estimator().ColDistinct(n.Left, n.LeftKey)
-	rightDistinct := o.estimator().ColDistinct(n.Right, n.RightKey)
-	choices := physio.JoinChoices(n.LeftKey, n.RightKey, o.mode.Depth, o.dop())
+	distinct := [2]float64{
+		o.estimator().ColDistinct(n.Left, n.LeftKey),
+		o.estimator().ColDistinct(n.Right, n.RightKey),
+	}
 	// Join commutativity: the same algorithm families with build and probe
-	// roles exchanged. Requirements and costs are evaluated with the right
-	// input as the build side; the output schema is unchanged.
-	swapChoices := physio.JoinChoices(n.RightKey, n.LeftKey, o.mode.Depth, o.dop())
+	// roles exchanged (swapped), the right input building.
+	choices := [2][]physio.JoinChoice{
+		physio.JoinChoices(n.LeftKey, n.RightKey, o.mode.Depth, o.dop()),
+		physio.JoinChoices(n.RightKey, n.LeftKey, o.mode.Depth, o.dop()),
+	}
 
 	var out []*Plan
 	for _, lp := range lefts {
 		for _, rp := range rights {
-			for i := range choices {
-				ch := choices[i]
-				if !lp.Props.SatisfiesAll(ch.LeftReqs) || !rp.Props.SatisfiesAll(ch.RightReqs) {
-					continue
+			for role, swapped := range [2]bool{false, true} {
+				build, probe, _, _ := joinRoles(n, lp, rp, swapped)
+				for _, ch := range choices[role] {
+					if build.Props.SatisfiesAll(ch.LeftReqs) && probe.Props.SatisfiesAll(ch.RightReqs) {
+						out = o.offer(out, o.joinPlan(n, lp, rp, ch, swapped, nil, rows, distinct[role]))
+					}
 				}
-				o.stats.Alternatives++
-				outProps := o.joinOutProps(ch, lp.Props, rp.Props, n.LeftKey, n.RightKey)
-				p := &Plan{
-					Op: OpJoin, Children: []*Plan{lp, rp},
-					Join: ch, LeftKey: n.LeftKey, RightKey: n.RightKey,
-					DOP:    ch.Opt.Parallel,
-					KeyDom: lp.Props.Domain(n.LeftKey),
-					Props:  o.restrict(outProps),
-					Rows:   rows,
-					Cost:   lp.Cost + rp.Cost + o.mode.Model.Join(ch, lp.Rows, rp.Rows, keyDistinct),
-				}
-				setJoinFootprint(p, lp, rp, cost.MemJoin(ch, lp.Rows, rp.Rows, keyDistinct, rows))
-				out = append(out, p)
-			}
-			for i := range swapChoices {
-				ch := swapChoices[i]
-				if !rp.Props.SatisfiesAll(ch.LeftReqs) || !lp.Props.SatisfiesAll(ch.RightReqs) {
-					continue
-				}
-				o.stats.Alternatives++
-				outProps := o.joinOutProps(ch, rp.Props, lp.Props, n.RightKey, n.LeftKey)
-				p := &Plan{
-					Op: OpJoin, Children: []*Plan{lp, rp},
-					Join: ch, LeftKey: n.LeftKey, RightKey: n.RightKey, Swapped: true,
-					DOP:    ch.Opt.Parallel,
-					KeyDom: rp.Props.Domain(n.RightKey),
-					Props:  o.restrict(outProps),
-					Rows:   rows,
-					Cost:   lp.Cost + rp.Cost + o.mode.Model.Join(ch, rp.Rows, lp.Rows, rightDistinct),
-				}
-				setJoinFootprint(p, lp, rp, cost.MemJoin(ch, rp.Rows, lp.Rows, rightDistinct, rows))
-				out = append(out, p)
 			}
 		}
 	}
-	// AV-backed joins: if the left input is the bare base scan of a table
-	// with a prebuilt index on the join key, the build phase was paid
-	// offline and only the probe side is charged.
-	if o.mode.Indexes != nil {
-		if scan, ok := n.Left.(*logical.Scan); ok {
-			if idx, have := o.mode.Indexes.Index(scan.Table, n.LeftKey); have {
-				base := &Plan{
-					Op: OpScan, Table: scan.Table, Rel: scan.Rel,
-					Props: o.scanPropsOf(scan.Rel),
-					Rows:  o.estimator().Estimate(scan),
-					Cost:  o.mode.Model.Scan(o.estimator().Estimate(scan)),
-				}
-				setFootprint(base)
-				kind := physical.HJ
-				if idx.SPH() {
-					kind = physical.SPHJ
-				}
-				ch := physio.JoinChoice{
-					Kind: kind,
-					Tree: physio.JoinTree(kind, physical.JoinOptions{}, n.LeftKey, n.RightKey),
-				}
-				for _, rp := range rights {
-					o.stats.Alternatives++
-					outProps := o.joinOutProps(ch, base.Props, rp.Props, n.LeftKey, n.RightKey)
-					ap := &Plan{
-						Op: OpJoin, Children: []*Plan{base, rp},
-						Join: ch, LeftKey: n.LeftKey, RightKey: n.RightKey,
-						AV: idx.Label(), Index: idx,
-						KeyDom: base.Props.Domain(n.LeftKey),
-						Props:  o.restrict(outProps),
-						Rows:   rows,
-						// Build side already materialised: charge probe only.
-						Cost: base.Cost + rp.Cost + o.mode.Model.Join(ch, 0, rp.Rows, keyDistinct),
-					}
-					// Build side prepaid offline: no build working set.
-					setJoinFootprint(ap, base, rp, cost.MemJoin(ch, 0, rp.Rows, keyDistinct, rows))
-					out = append(out, ap)
-				}
-			}
+	// AV-backed joins over the left base scan's prebuilt index.
+	if scan, idx, ch := o.indexJoin(n); idx != nil {
+		base := o.scanPlan(scan, scan.Rel, "", props.NoCompression)
+		for _, rp := range rights {
+			out = o.offer(out, o.joinPlan(n, base, rp, ch, false, idx, rows, distinct[0]))
 		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("core: no applicable join implementation for %s", n)
 	}
 	return o.keepPareto(o.pruneMem(out)), nil
-}
-
-// setJoinFootprint fills Width/Mem for a join alternative: both inputs
-// materialised, the kernel's working set, and the emitted pair-gathered
-// output resident at once.
-func setJoinFootprint(p, lp, rp *Plan, work float64) {
-	p.Width = lp.Width + rp.Width
-	resident := lp.Rows*lp.Width + rp.Rows*rp.Width + work + p.Rows*p.Width
-	p.Mem = math.Max(math.Max(lp.Mem, rp.Mem), resident)
 }
 
 func (o *optimizer) optimizeGroup(n *logical.GroupBy) ([]*Plan, error) {
@@ -820,26 +566,10 @@ func (o *optimizer) optimizeGroup(n *logical.GroupBy) ([]*Plan, error) {
 
 	var out []*Plan
 	for _, c := range children {
-		for i := range choices {
-			ch := choices[i]
-			if !c.Props.SatisfiesAll(ch.Reqs) {
-				continue
+		for _, ch := range choices {
+			if c.Props.SatisfiesAll(ch.Reqs) {
+				out = o.offer(out, o.groupPlan(n, c, ch, rows, groups))
 			}
-			o.stats.Alternatives++
-			outProps := ch.Kind.OutputProps(c.Props, n.Key)
-			p := &Plan{
-				Op: OpGroup, Children: []*Plan{c},
-				Group: ch, GroupKey: n.Key, Aggs: n.Aggs,
-				DOP:    ch.Opt.Parallel,
-				KeyDom: c.Props.Domain(n.Key),
-				Props:  o.restrict(outProps),
-				Rows:   rows,
-				Cost:   c.Cost + o.mode.Model.Group(ch, c.Rows, groups),
-			}
-			p.Width = 4 + 8*float64(len(n.Aggs))
-			resident := c.Rows*c.Width + cost.MemGroup(ch, c.Rows, groups) + rows*p.Width
-			p.Mem = math.Max(c.Mem, resident)
-			out = append(out, p)
 		}
 	}
 	if len(out) == 0 {

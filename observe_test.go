@@ -57,19 +57,32 @@ func normalizeAnalyze(s string) string {
 }
 
 // TestExplainAnalyzeGolden pins the full EXPLAIN ANALYZE rendering for the
-// 2-join + group-by query under both deterministic cost models. The
-// calibrated model picks machine-dependent plans, so it is covered by the
-// structural test below instead.
+// 2-join + group-by query under both deterministic cost models. Each case
+// declares its DOP, a planning input: the serial cases plan at workers=1,
+// and the dqo_dop4 case pins the parallel-twin enumeration at workers=4
+// (the Paper model prices parallel twins as ties, so the plan stays serial
+// while the alternatives count grows). The calibrated model picks
+// machine-dependent plans, so it is covered by the structural test below
+// instead.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	db := testDB2Join(t)
-	for _, mode := range []Mode{ModeSQO, ModeDQO} {
-		t.Run(mode.String(), func(t *testing.T) {
-			text, err := db.Explain(mode, twoJoinSQL, ExplainAnalyze())
+	cases := []struct {
+		name    string
+		mode    Mode
+		workers int
+	}{
+		{"sqo", ModeSQO, 1},
+		{"dqo", ModeDQO, 1},
+		{"dqo_dop4", ModeDQO, 4},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			text, err := db.Explain(c.mode, twoJoinSQL, ExplainAnalyze(), ExplainWith(WithWorkers(c.workers)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := normalizeAnalyze(text)
-			path := filepath.Join("testdata", "analyze_"+mode.String()+".golden")
+			path := filepath.Join("testdata", "analyze_"+c.name+".golden")
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)

@@ -172,9 +172,12 @@ func ExplainAnalyze() ExplainOption {
 	return func(c *explainConfig) { c.analyze = true }
 }
 
-// ExplainWith forwards query options (workers, morsel size, memory limit,
-// timeout, tracer) to the execution run behind ExplainAnalyze. It has no
-// effect without ExplainAnalyze.
+// ExplainWith applies query options to EXPLAIN. The planning options apply
+// to the rendered plan with or without ExplainAnalyze: workers sets the DOP
+// the optimiser plans at (shown as dop= in the header), and beam width and
+// memory limit shape enumeration as they do for DB.Query. With
+// ExplainAnalyze, all options (morsel size, timeout, tracer included) also
+// tune the execution run.
 func ExplainWith(opts ...QueryOption) ExplainOption {
 	return func(c *explainConfig) { c.qopts = append(c.qopts, opts...) }
 }
