@@ -34,7 +34,7 @@ func diffQuery(t *testing.T, db *DB, mode Mode, query string, morsel, workers, b
 	if err != nil {
 		t.Fatalf("%s/%s: compile: %v", mode, query, err)
 	}
-	root, err := core.Compile(res.Best)
+	root, err := core.Compile(res.Best, nil)
 	if err != nil {
 		t.Fatalf("%s/%s: plan compile: %v", mode, query, err)
 	}

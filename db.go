@@ -544,13 +544,10 @@ func (db *DB) execQuery(ctx context.Context, mode Mode, query string, cfg queryC
 	}
 	t0 := time.Now()
 	var rc *core.ReoptConfig
-	var root exec.Operator
 	if cfg.reopt > 0 {
 		rc = &core.ReoptConfig{Mode: res.Mode, Threshold: cfg.reopt}
-		root, err = core.CompileReopt(res.Best, rc)
-	} else {
-		root, err = core.Compile(res.Best)
 	}
+	root, err := core.Compile(res.Best, rc)
 	pt.compile = time.Since(t0)
 	if err != nil {
 		return nil, err

@@ -115,7 +115,7 @@ func morselQuery(t *testing.T, db *DB, mode Mode, query string, morsel, workers 
 	if err != nil {
 		t.Fatalf("%s/%s: compile: %v", mode, query, err)
 	}
-	root, err := core.Compile(res.Best)
+	root, err := core.Compile(res.Best, nil)
 	if err != nil {
 		t.Fatalf("%s/%s: plan compile: %v", mode, query, err)
 	}
@@ -230,7 +230,7 @@ func TestParallelPlanDifferential(t *testing.T) {
 			}
 			sawParallel += parallelNodes(res.Best)
 			for _, morsel := range []int{1, 7, 1024} {
-				root, err := core.Compile(res.Best)
+				root, err := core.Compile(res.Best, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

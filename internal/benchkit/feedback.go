@@ -196,7 +196,7 @@ func timeReopt(res *core.Result, repeats int) (*storage.Relation, float64, int, 
 	replans := 0
 	for i := 0; i < repeats; i++ {
 		rc := &core.ReoptConfig{Mode: res.Mode}
-		root, err := core.CompileReopt(res.Best, rc)
+		root, err := core.Compile(res.Best, rc)
 		if err != nil {
 			return nil, 0, 0, err
 		}

@@ -53,15 +53,12 @@ type ExecOptions struct {
 // filter/project chain over a scan) lower to an exec.Pipe that fans morsels
 // across the worker pool; everything else lowers to the serial operators, so
 // DOP = 1 plans execute exactly as before the parallel dimension existed.
-func Compile(p *Plan) (exec.Operator, error) {
-	return compileNode(p, nil)
-}
-
-// compileNode is the compiler body. With a non-nil ReoptConfig, every
-// pipeline-breaker kernel is wrapped with a mid-query re-planning check
-// (index joins excepted: their build side was prepaid offline). rc == nil
-// lowers exactly as Compile always has.
-func compileNode(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
+//
+// A non-nil rc arms mid-query re-planning: every pipeline-breaker kernel is
+// wrapped with a re-planning check (see ReoptConfig), index joins excepted —
+// their build side was prepaid offline. A nil rc compiles the plan as
+// optimised.
+func Compile(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
 	switch p.Op {
 	case OpScan:
 		if p.Enc != props.NoCompression {
@@ -96,7 +93,7 @@ func compileNode(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
 				return crack.Range64(lo, hi)
 			}), nil
 		}
-		child, err := compileNode(p.Children[0], rc)
+		child, err := Compile(p.Children[0], rc)
 		if err != nil {
 			return nil, err
 		}
@@ -107,120 +104,102 @@ func compileNode(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
 				return op, nil
 			}
 		}
-		child, err := compileNode(p.Children[0], rc)
+		child, err := Compile(p.Children[0], rc)
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewProject(p.Label(), child, p.Cols), nil
-	case OpSort:
-		child, err := compileNode(p.Children[0], rc)
-		if err != nil {
-			return nil, err
-		}
-		if p.Spill {
-			// Disk-backed twin: external merge sort, byte-identical to the
-			// serial in-memory sort. No reopt wrapping — the spill twin is
-			// already the last resort under the budget.
-			return exec.NewSpillSort(p.Label(), child, p.SortKey, p.SortKind), nil
-		}
-		key, kind, dop := p.SortKey, p.SortKind, p.DOP
-		kernel := func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
-			w := 1
-			if dop > 1 {
-				w = ec.EffectiveDOP(dop)
+	case OpSort, OpGroup, OpJoin:
+		kids := make([]exec.Operator, len(p.Children))
+		for i, c := range p.Children {
+			op, err := Compile(c, rc)
+			if err != nil {
+				return nil, err
 			}
-			return physical.SortRelParCtl(in, key, kind, w, ec.Ctl())
+			kids[i] = op
 		}
-		var b *exec.Breaker1
-		if rc != nil {
-			node, orig := p, kernel
-			kernel = func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
-				return rc.replan1(ec, node, in, orig, func() { b.NoteReplan() })
-			}
-		}
-		b = exec.NewBreaker1(p.Label(), child, kernel)
-		b.SetDOP(dop)
-		return b, nil
-	case OpGroup:
-		child, err := compileNode(p.Children[0], rc)
-		if err != nil {
-			return nil, err
-		}
-		if p.Spill {
-			// Disk-backed twin: partition-and-recurse hash aggregation,
-			// byte-identical to the serial chained-hash kernel.
-			return exec.NewSpillGroup(p.Label(), child, p.GroupKey, p.Aggs, p.Group.Opt, p.KeyDom), nil
-		}
-		key, aggs, kind, opt, dom := p.GroupKey, p.Aggs, p.Group.Kind, p.Group.Opt, p.KeyDom
-		kernel := func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
-			o := opt
-			if o.Parallel > 1 {
-				o.Parallel = ec.EffectiveDOP(o.Parallel)
-			}
-			o.Ctl = ec.Ctl()
-			return physical.GroupByRelDom(in, key, aggs, kind, o, dom)
-		}
-		var b *exec.Breaker1
-		if rc != nil {
-			node, orig := p, kernel
-			kernel = func(ec *exec.ExecContext, in *storage.Relation) (*storage.Relation, error) {
-				return rc.replan1(ec, node, in, orig, func() { b.NoteReplan() })
-			}
-		}
-		b = exec.NewBreaker1(p.Label(), child, kernel)
-		b.SetDOP(opt.Parallel)
-		return b, nil
-	case OpJoin:
-		left, err := compileNode(p.Children[0], rc)
-		if err != nil {
-			return nil, err
-		}
-		right, err := compileNode(p.Children[1], rc)
-		if err != nil {
-			return nil, err
-		}
-		if p.Spill {
-			// Disk-backed twin: grace hash join, byte-identical to the serial
-			// in-memory hash join.
-			return exec.NewSpillJoin(p.Label(), left, right, p.LeftKey, p.RightKey,
-				p.Join.Opt, p.Swapped, p.KeyDom), nil
-		}
-		node := p
-		clamp := func(ec *exec.ExecContext) physical.JoinOptions {
-			o := node.Join.Opt
-			if o.Parallel > 1 {
-				o.Parallel = ec.EffectiveDOP(o.Parallel)
-			}
-			o.Ctl = ec.Ctl()
-			return o
-		}
-		var kernel func(ec *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error)
-		switch {
-		case p.Index != nil:
-			kernel = func(_ *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-				return executeIndexJoin(node, l, r)
-			}
-		case p.Swapped:
-			kernel = func(ec *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-				return physical.JoinRelDomSwapped(l, r, node.LeftKey, node.RightKey, node.Join.Kind, clamp(ec), node.KeyDom)
-			}
-		default:
-			kernel = func(ec *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-				return physical.JoinRelDom(l, r, node.LeftKey, node.RightKey, node.Join.Kind, clamp(ec), node.KeyDom)
-			}
-		}
-		var b *exec.Breaker2
-		if rc != nil && p.Index == nil {
-			orig := kernel
-			kernel = func(ec *exec.ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-				return rc.replan2(ec, node, l, r, orig, func() { b.NoteReplan() })
-			}
-		}
-		b = exec.NewBreaker2(p.Label(), left, right, kernel)
-		b.SetDOP(p.Join.Opt.Parallel)
-		return b, nil
+		return compileBreaker(p, kids, rc), nil
 	default:
 		return nil, fmt.Errorf("core: cannot compile operator %v", p.Op)
+	}
+}
+
+// compileBreaker lowers a sort, group or join node over its compiled
+// inputs: to its disk-backed spill twin when the optimiser chose one
+// (external merge sort, partition-and-recurse hash aggregation, grace hash
+// join — each byte-identical to the serial in-memory kernel, and never
+// re-planned: the spill twin is already the last resort under the budget),
+// otherwise to the node's kernel behind the breaker shell.
+func compileBreaker(p *Plan, kids []exec.Operator, rc *ReoptConfig) exec.Operator {
+	dop := p.DOP
+	switch p.Op {
+	case OpSort:
+		if p.Spill {
+			return exec.NewSpillSort(p.Label(), kids[0], p.SortKey, p.SortKind)
+		}
+	case OpGroup:
+		if p.Spill {
+			return exec.NewSpillGroup(p.Label(), kids[0], p.GroupKey, p.Aggs, p.Group.Opt, p.KeyDom)
+		}
+		dop = p.Group.Opt.Parallel
+	case OpJoin:
+		if p.Spill {
+			return exec.NewSpillJoin(p.Label(), kids[0], kids[1], p.LeftKey, p.RightKey,
+				p.Join.Opt, p.Swapped, p.KeyDom)
+		}
+		dop = p.Join.Opt.Parallel
+	}
+	k := kernel(p)
+	var b *exec.Breaker
+	if rc != nil && p.Index == nil {
+		k = rc.replan(p, k, func() { b.NoteReplan() })
+	}
+	b = exec.NewBreaker(p.Label(), kids, k)
+	b.SetDOP(dop)
+	return b
+}
+
+// kernel returns the whole-relation kernel of a sort, group or join node
+// (serial or parallel, either build/probe role, or the AV index join) over
+// its materialised inputs in child order. It threads the query's governance
+// handle (cancellation + memory budget) and clamps the planned DOP to the
+// pool. Compile runs it behind an exec.Breaker; execReplanned calls it
+// directly on a re-planned suffix.
+func kernel(p *Plan) exec.Kernel {
+	switch p.Op {
+	case OpSort:
+		return func(ec *exec.ExecContext, in []*storage.Relation) (*storage.Relation, error) {
+			return physical.SortRelParCtl(in[0], p.SortKey, p.SortKind, ec.EffectiveDOP(p.DOP), ec.Ctl())
+		}
+	case OpGroup:
+		return func(ec *exec.ExecContext, in []*storage.Relation) (*storage.Relation, error) {
+			o := p.Group.Opt
+			if o.Parallel > 1 {
+				o.Parallel = ec.EffectiveDOP(o.Parallel)
+			}
+			o.Ctl = ec.Ctl()
+			return physical.GroupByRelDom(in[0], p.GroupKey, p.Aggs, p.Group.Kind, o, p.KeyDom)
+		}
+	case OpJoin:
+		if p.Index != nil {
+			return func(_ *exec.ExecContext, in []*storage.Relation) (*storage.Relation, error) {
+				return executeIndexJoin(p, in[0], in[1])
+			}
+		}
+		return func(ec *exec.ExecContext, in []*storage.Relation) (*storage.Relation, error) {
+			o := p.Join.Opt
+			if o.Parallel > 1 {
+				o.Parallel = ec.EffectiveDOP(o.Parallel)
+			}
+			o.Ctl = ec.Ctl()
+			if p.Swapped {
+				return physical.JoinRelDomSwapped(in[0], in[1], p.LeftKey, p.RightKey, p.Join.Kind, o, p.KeyDom)
+			}
+			return physical.JoinRelDom(in[0], in[1], p.LeftKey, p.RightKey, p.Join.Kind, o, p.KeyDom)
+		}
+	}
+	return func(*exec.ExecContext, []*storage.Relation) (*storage.Relation, error) {
+		return nil, fmt.Errorf("core: %v has no whole-relation kernel", p.Op)
 	}
 }
 
@@ -266,7 +245,7 @@ func compilePipe(p *Plan) (exec.Operator, bool) {
 // counted before the abort) is returned alongside the typed error, so
 // callers can report how far a failed query got.
 func ExecuteContext(ctx context.Context, p *Plan, opts ExecOptions) (*storage.Relation, exec.Profile, error) {
-	root, err := Compile(p)
+	root, err := Compile(p, nil)
 	if err != nil {
 		return nil, nil, err
 	}

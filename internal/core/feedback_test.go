@@ -160,7 +160,7 @@ func TestReoptSplices(t *testing.T) {
 	gb, _ := skewedQuery(3000, 2)
 	res := optimize(t, gb, DQO())
 
-	base, err := Compile(res.Best)
+	base, err := Compile(res.Best, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestReoptSplices(t *testing.T) {
 	}
 
 	rc := &ReoptConfig{Mode: res.Mode}
-	root, err := CompileReopt(res.Best, rc)
+	root, err := Compile(res.Best, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +208,16 @@ func TestReoptSplices(t *testing.T) {
 	}
 }
 
-// TestReoptSplicesJoin covers the two-input wrapper: a join whose probe
+// TestReoptSplicesJoin covers the two-input wrapper: a join whose filtered
 // side was planned at 1000 rows materialises 2, so build/probe roles (and
-// possibly the algorithm family) are re-decided over the true inputs.
+// possibly the algorithm family) are re-decided over the true inputs. The
+// filtered side is the join's left input in one case and its right input in
+// the other; the event reports that side's planned and actual cardinality.
 func TestReoptSplicesJoin(t *testing.T) {
 	// Sparse keys keep the dense-domain join families out of play, so the
 	// decision under the truth is about hash-join build/probe roles: planned
-	// with a 1000-row probe estimate the build side is the 64-row dimension;
-	// with the true 2 rows on the table the roles flip.
+	// with a 1000-row estimate the build side is the 64-row dimension; with
+	// the true 2 rows on the table the roles flip.
 	n := 3000
 	ks := make([]uint32, n)
 	vs := make([]uint32, n)
@@ -233,38 +235,55 @@ func TestReoptSplicesJoin(t *testing.T) {
 	for i := range dimK {
 		dimK[i] = uint32((i%16)*97 + 5)
 	}
-	dim := storage.MustNewRelation("dim", storage.NewUint32("dk", dimK))
-	join := &logical.Join{
-		Left:    f,
-		Right:   &logical.Scan{Table: "dim", Rel: dim},
-		LeftKey: "k", RightKey: "dk",
-	}
-	res := optimize(t, join, DQO())
+	dim := &logical.Scan{Table: "dim", Rel: storage.MustNewRelation("dim", storage.NewUint32("dk", dimK))}
+	for _, tc := range []struct {
+		name string
+		join *logical.Join
+		side int // child index of the filtered input
+	}{
+		{"filtered-left", &logical.Join{Left: f, Right: dim, LeftKey: "k", RightKey: "dk"}, 0},
+		{"filtered-right", &logical.Join{Left: dim, Right: f, LeftKey: "dk", RightKey: "k"}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := optimize(t, tc.join, DQO())
 
-	base, err := Compile(res.Best)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := exec.Run(exec.NewExecContext(context.Background(), 0, 1), base)
-	if err != nil {
-		t.Fatal(err)
-	}
+			base, err := Compile(res.Best, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := exec.Run(exec.NewExecContext(context.Background(), 0, 1), base)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	rc := &ReoptConfig{Mode: res.Mode}
-	root, err := CompileReopt(res.Best, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := exec.Run(exec.NewExecContext(context.Background(), 0, 1), root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evs := rc.Events(); len(evs) == 0 {
-		t.Fatalf("misestimated join input did not re-plan (checks=%d, plan:\n%s)",
-			rc.Checks(), res.Best.Explain())
-	}
-	if !reflect.DeepEqual(canonical(got), canonical(want)) {
-		t.Error("re-planned join changed the query result")
+			rc := &ReoptConfig{Mode: res.Mode}
+			root, err := Compile(res.Best, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := exec.Run(exec.NewExecContext(context.Background(), 0, 1), root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs := rc.Events()
+			if len(evs) == 0 {
+				t.Fatalf("misestimated join input did not re-plan (checks=%d, plan:\n%s)",
+					rc.Checks(), res.Best.Explain())
+			}
+			var jn *Plan
+			res.Best.PreOrder(func(n *Plan, _ int) {
+				if n.Op == OpJoin {
+					jn = n
+				}
+			})
+			if ev := evs[0]; ev.ActRows != 2 || ev.EstRows != jn.Children[tc.side].Rows {
+				t.Errorf("event est=%v act=%v, want the filtered side's est=%v act=2",
+					ev.EstRows, ev.ActRows, jn.Children[tc.side].Rows)
+			}
+			if !reflect.DeepEqual(canonical(got), canonical(want)) {
+				t.Error("re-planned join changed the query result")
+			}
+		})
 	}
 }
 
@@ -274,7 +293,7 @@ func TestReoptQuietOnGoodEstimates(t *testing.T) {
 	q := paperQuery(t, false, false, true)
 	res := optimize(t, q, DQO())
 	rc := &ReoptConfig{Mode: res.Mode}
-	root, err := CompileReopt(res.Best, rc)
+	root, err := Compile(res.Best, rc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,10 +40,9 @@ func (e ReplanEvent) String() string {
 // optimiser's estimate in either direction, the remaining plan suffix is
 // re-enumerated with the true cardinality under the active planning tier
 // (deep / beam-capped / greedy, with the mode's feedback store if any) and
-// the winner is spliced into the running query. This generalises the
-// grouping-only re-decision of ExecuteAdaptive into the morsel executor: any
-// breaker can switch algorithm family, build/probe roles, or enforcer
-// strategy once the truth is on the table.
+// the winner is spliced into the running query: any breaker can switch
+// algorithm family, build/probe roles, or enforcer strategy once the truth
+// is on the table. Compile arms it.
 //
 // One ReoptConfig serves one query execution; it is safe for the concurrent
 // breaker kernels of a bushy plan.
@@ -130,112 +129,70 @@ func suffixLabels(p *Plan) string {
 	return strings.Join(labels, " -> ")
 }
 
-// CompileReopt lowers an optimised plan like Compile but wraps every
-// pipeline-breaker kernel with a re-planning check (see ReoptConfig). A nil
-// rc is identical to Compile.
-func CompileReopt(p *Plan, rc *ReoptConfig) (exec.Operator, error) {
-	return compileNode(p, rc)
-}
-
-// replan1 is the re-planning wrapper around a single-input breaker kernel
-// (sort or aggregation). If the materialised input's cardinality is within
-// tolerance the planned kernel runs untouched; otherwise the remaining
-// suffix is re-enumerated over the true input and the winner executed in its
+// replan wraps a breaker kernel with the re-planning check. When the kernel
+// runs its inputs are materialised; if every input's cardinality is within
+// tolerance of the plan's estimate the planned kernel runs untouched.
+// Otherwise the node's logical suffix — sort, grouping, or join with
+// algorithm family, build/probe roles and enforcers all up for re-decision
+// — is re-enumerated over the true inputs and the winner executed in its
 // place. Re-planning must never fail a query the planned kernel could run,
 // so an optimiser error falls back to the planned kernel.
-func (rc *ReoptConfig) replan1(ec *exec.ExecContext, node *Plan, in *storage.Relation,
-	orig func(*exec.ExecContext, *storage.Relation) (*storage.Relation, error),
-	noteReplan func()) (*storage.Relation, error) {
-
-	atomic.AddInt64(&rc.checks, 1)
-	act, est := float64(in.NumRows()), node.Children[0].Rows
-	if !offByFactor(act, est, rc.threshold()) {
-		return orig(ec, in)
-	}
-	scan := &logical.Scan{Table: replanTable, Rel: in}
-	var ln logical.Node
-	switch node.Op {
-	case OpSort:
-		ln = &logical.Sort{Input: scan, Key: node.SortKey}
-	case OpGroup:
-		ln = &logical.GroupBy{Input: scan, Key: node.GroupKey, Aggs: node.Aggs}
-	default:
-		return orig(ec, in)
-	}
-	res, err := Optimize(ln, rc.replanMode())
-	if err != nil {
-		return orig(ec, in)
-	}
-	if suffixLabels(res.Best) == node.Label() {
-		// The truth confirms the planned choice; nothing to splice.
-		return orig(ec, in)
-	}
-	if err := faultinject.Fire(faultinject.PointReplanSplice); err != nil {
-		return nil, err
-	}
-	out, err := execReplanned(ec, res.Best)
-	if err != nil {
-		return nil, err
-	}
-	rc.record(node, res.Best, est, act)
-	if noteReplan != nil {
+func (rc *ReoptConfig) replan(node *Plan, orig exec.Kernel, noteReplan func()) exec.Kernel {
+	return func(ec *exec.ExecContext, in []*storage.Relation) (*storage.Relation, error) {
+		atomic.AddInt64(&rc.checks, 1)
+		// The event reports the first input out of tolerance: the left one
+		// when both are.
+		off := -1
+		for i, r := range in {
+			if offByFactor(float64(r.NumRows()), node.Children[i].Rows, rc.threshold()) {
+				off = i
+				break
+			}
+		}
+		if off < 0 {
+			return orig(ec, in)
+		}
+		var ln logical.Node
+		switch node.Op {
+		case OpSort:
+			ln = &logical.Sort{Input: &logical.Scan{Table: replanTable, Rel: in[0]}, Key: node.SortKey}
+		case OpGroup:
+			ln = &logical.GroupBy{Input: &logical.Scan{Table: replanTable, Rel: in[0]},
+				Key: node.GroupKey, Aggs: node.Aggs}
+		case OpJoin:
+			ln = &logical.Join{
+				Left:    &logical.Scan{Table: replanTable + "L", Rel: in[0]},
+				Right:   &logical.Scan{Table: replanTable + "R", Rel: in[1]},
+				LeftKey: node.LeftKey, RightKey: node.RightKey,
+			}
+		default:
+			return orig(ec, in)
+		}
+		res, err := Optimize(ln, rc.replanMode())
+		if err != nil {
+			return orig(ec, in)
+		}
+		if suffixLabels(res.Best) == node.Label() {
+			// The truth confirms the planned choice; nothing to splice.
+			return orig(ec, in)
+		}
+		if err := faultinject.Fire(faultinject.PointReplanSplice); err != nil {
+			return nil, err
+		}
+		out, err := execReplanned(ec, res.Best)
+		if err != nil {
+			return nil, err
+		}
+		rc.record(node, res.Best, node.Children[off].Rows, float64(in[off].NumRows()))
 		noteReplan()
+		return out, nil
 	}
-	return out, nil
-}
-
-// replan2 is the re-planning wrapper around a join kernel. Both inputs are
-// materialised when it runs; if either side's cardinality is out of
-// tolerance, the join is re-enumerated over the true inputs — algorithm
-// family, build/probe roles, and enforcers all up for re-decision.
-func (rc *ReoptConfig) replan2(ec *exec.ExecContext, node *Plan, l, r *storage.Relation,
-	orig func(*exec.ExecContext, *storage.Relation, *storage.Relation) (*storage.Relation, error),
-	noteReplan func()) (*storage.Relation, error) {
-
-	atomic.AddInt64(&rc.checks, 1)
-	actL, estL := float64(l.NumRows()), node.Children[0].Rows
-	actR, estR := float64(r.NumRows()), node.Children[1].Rows
-	t := rc.threshold()
-	offL, offR := offByFactor(actL, estL, t), offByFactor(actR, estR, t)
-	if !offL && !offR {
-		return orig(ec, l, r)
-	}
-	ln := &logical.Join{
-		Left:    &logical.Scan{Table: replanTable + "L", Rel: l},
-		Right:   &logical.Scan{Table: replanTable + "R", Rel: r},
-		LeftKey: node.LeftKey, RightKey: node.RightKey,
-	}
-	res, err := Optimize(ln, rc.replanMode())
-	if err != nil {
-		return orig(ec, l, r)
-	}
-	if suffixLabels(res.Best) == node.Label() {
-		return orig(ec, l, r)
-	}
-	if err := faultinject.Fire(faultinject.PointReplanSplice); err != nil {
-		return nil, err
-	}
-	out, err := execReplanned(ec, res.Best)
-	if err != nil {
-		return nil, err
-	}
-	est, act := estL, actL
-	if offR && !offL {
-		est, act = estR, actR
-	}
-	rc.record(node, res.Best, est, act)
-	if noteReplan != nil {
-		noteReplan()
-	}
-	return out, nil
 }
 
 // execReplanned runs a re-planned suffix over its already-materialised
 // inputs. The suffix bottoms out at scans of in-memory intermediates, so
-// lowering is a direct recursive kernel invocation threaded with the query's
-// governance handle (cancellation + memory budget) and effective DOP —
-// mirroring the kernels Compile builds, without re-entering the morsel
-// drive loop.
+// lowering is a direct recursive invocation of the same kernels Compile
+// puts behind its breakers, without re-entering the morsel drive loop.
 func execReplanned(ec *exec.ExecContext, p *Plan) (*storage.Relation, error) {
 	kids := make([]*storage.Relation, len(p.Children))
 	for i, c := range p.Children {
@@ -252,30 +209,7 @@ func execReplanned(ec *exec.ExecContext, p *Plan) (*storage.Relation, error) {
 		return physical.FilterRel(kids[0], p.Pred)
 	case OpProject:
 		return physical.ProjectRel(kids[0], p.Cols...)
-	case OpSort:
-		w := 1
-		if p.DOP > 1 {
-			w = ec.EffectiveDOP(p.DOP)
-		}
-		return physical.SortRelParCtl(kids[0], p.SortKey, p.SortKind, w, ec.Ctl())
-	case OpGroup:
-		o := p.Group.Opt
-		if o.Parallel > 1 {
-			o.Parallel = ec.EffectiveDOP(o.Parallel)
-		}
-		o.Ctl = ec.Ctl()
-		return physical.GroupByRelDom(kids[0], p.GroupKey, p.Aggs, p.Group.Kind, o, p.KeyDom)
-	case OpJoin:
-		o := p.Join.Opt
-		if o.Parallel > 1 {
-			o.Parallel = ec.EffectiveDOP(o.Parallel)
-		}
-		o.Ctl = ec.Ctl()
-		if p.Swapped {
-			return physical.JoinRelDomSwapped(kids[0], kids[1], p.LeftKey, p.RightKey, p.Join.Kind, o, p.KeyDom)
-		}
-		return physical.JoinRelDom(kids[0], kids[1], p.LeftKey, p.RightKey, p.Join.Kind, o, p.KeyDom)
 	default:
-		return nil, fmt.Errorf("core: cannot execute re-planned operator %v", p.Op)
+		return kernel(p)(ec, kids)
 	}
 }

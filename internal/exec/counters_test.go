@@ -31,8 +31,8 @@ func TestCountersTickAtBoundaries(t *testing.T) {
 	// 10-row morsels plus re-emitting the result counts on both sides.
 	c.Morsels.Store(0)
 	c.Rows.Store(0)
-	br := NewBreaker1("identity", NewScan("scan", rel),
-		func(_ *ExecContext, in *storage.Relation) (*storage.Relation, error) { return in, nil })
+	br := NewBreaker("identity", []Operator{NewScan("scan", rel)},
+		func(_ *ExecContext, in []*storage.Relation) (*storage.Relation, error) { return in[0], nil })
 	ec2 := NewExecContext(context.Background(), 10, 0)
 	ec2.Counters = &c
 	if _, err := Run(ec2, br); err != nil {

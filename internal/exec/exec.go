@@ -114,9 +114,6 @@ func (ec *ExecContext) SetSpill(dir string, limit int64) {
 	}
 }
 
-// SpillEnabled reports whether a spill directory is configured.
-func (ec *ExecContext) SpillEnabled() bool { return ec.spillParent != "" }
-
 // Spill returns the query's spill directory, creating it on first use.
 func (ec *ExecContext) Spill() (*spill.Dir, error) {
 	if ec.spillParent == "" {

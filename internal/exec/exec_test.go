@@ -118,13 +118,13 @@ func TestLimitZero(t *testing.T) {
 func TestBreaker1KernelRunsOnce(t *testing.T) {
 	rel := testRel(t, 25)
 	calls := 0
-	rev := NewBreaker1("reverse", NewScan("scan", rel), func(_ *ExecContext, in *storage.Relation) (*storage.Relation, error) {
+	rev := NewBreaker("reverse", []Operator{NewScan("scan", rel)}, func(_ *ExecContext, in []*storage.Relation) (*storage.Relation, error) {
 		calls++
-		idx := make([]int32, in.NumRows())
+		idx := make([]int32, in[0].NumRows())
 		for i := range idx {
-			idx[i] = int32(in.NumRows() - 1 - i)
+			idx[i] = int32(in[0].NumRows() - 1 - i)
 		}
-		return in.Gather(idx), nil
+		return in[0].Gather(idx), nil
 	})
 	out := runTree(t, rev, 4)
 	if calls != 1 {
@@ -142,9 +142,9 @@ func TestBreaker1KernelRunsOnce(t *testing.T) {
 func TestBreaker2ConcurrentDrain(t *testing.T) {
 	left := testRel(t, 40)
 	right := testRel(t, 60)
-	join := NewBreaker2("cross-count", NewScan("l", left), NewScan("r", right),
-		func(_ *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
-			n := int64(l.NumRows()) * int64(r.NumRows())
+	join := NewBreaker("cross-count", []Operator{NewScan("l", left), NewScan("r", right)},
+		func(_ *ExecContext, in []*storage.Relation) (*storage.Relation, error) {
+			n := int64(in[0].NumRows()) * int64(in[1].NumRows())
 			return storage.NewRelation("out", storage.NewInt64("n", []int64{n}))
 		})
 	out := runTree(t, join, 8)
@@ -174,12 +174,13 @@ func (b *blocking) Next(ec *ExecContext) (*storage.Relation, error) {
 func TestCancellationUnwindsWithoutLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	join := NewBreaker2("join",
+	join := NewBreaker("join", []Operator{
 		&blocking{base: base{label: "block-l"}},
 		&blocking{base: base{label: "block-r"}},
-		func(_ *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
+	},
+		func(_ *ExecContext, in []*storage.Relation) (*storage.Relation, error) {
 			t.Error("kernel ran despite cancellation")
-			return l, nil
+			return in[0], nil
 		})
 	ec := NewExecContext(ctx, 8, 2)
 	done := make(chan error, 1)

@@ -81,8 +81,8 @@ func govCases(t *testing.T) []govCase {
 				pipe.AddStage("filter", func(in *storage.Relation) (*storage.Relation, error) {
 					return physical.FilterRel(in, pred)
 				})
-				b := NewBreaker1("sort", pipe, func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
-					return physical.SortRelParCtl(in, "id", sortx.Radix, ec.EffectiveDOP(dop), ec.Ctl())
+				b := NewBreaker("sort", []Operator{pipe}, func(ec *ExecContext, in []*storage.Relation) (*storage.Relation, error) {
+					return physical.SortRelParCtl(in[0], "id", sortx.Radix, ec.EffectiveDOP(dop), ec.Ctl())
 				})
 				b.SetDOP(dop)
 				return b
@@ -93,14 +93,14 @@ func govCases(t *testing.T) []govCase {
 			points: []string{faultinject.PointHashtableGrow},
 			build: func(dop int) Operator {
 				aggs := []expr.AggSpec{{Func: expr.AggCount}}
-				b := NewBreaker1("group", NewScan("scan", grpRel), func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
+				b := NewBreaker("group", []Operator{NewScan("scan", grpRel)}, func(ec *ExecContext, in []*storage.Relation) (*storage.Relation, error) {
 					opt := physical.GroupOptions{
 						Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin,
 						Parallel: ec.EffectiveDOP(dop), Ctl: ec.Ctl(),
 					}
 					// Unknown domain: tables start minimal and must grow,
 					// reaching the hashtable.grow failure point.
-					return physical.GroupByRelDom(in, "key", aggs, physical.HG, opt, props.Domain{})
+					return physical.GroupByRelDom(in[0], "key", aggs, physical.HG, opt, props.Domain{})
 				})
 				b.SetDOP(dop)
 				return b
@@ -113,12 +113,12 @@ func govCases(t *testing.T) []govCase {
 				faultinject.PointPhysicalBuild,
 			},
 			build: func(dop int) Operator {
-				b := NewBreaker2("join", NewScan("l", joinL), NewScan("r", joinR),
-					func(ec *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
+				b := NewBreaker("join", []Operator{NewScan("l", joinL), NewScan("r", joinR)},
+					func(ec *ExecContext, in []*storage.Relation) (*storage.Relation, error) {
 						opt := physical.JoinOptions{
 							Hash: hashtable.Murmur3Fin, Parallel: ec.EffectiveDOP(dop), Ctl: ec.Ctl(),
 						}
-						return physical.JoinRel(l, r, "id", "fk", physical.HJ, opt)
+						return physical.JoinRel(in[0], in[1], "id", "fk", physical.HJ, opt)
 					})
 				b.SetDOP(dop)
 				return b

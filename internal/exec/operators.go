@@ -296,50 +296,76 @@ func (s *IndexScan) Children() []Operator { return nil }
 // ---------------------------------------------------------------------------
 // Pipeline breakers: whole-relation kernels behind the morsel interface.
 
-// Breaker1 is a unary pipeline breaker (sort, group-by): it materialises
-// its input, runs a whole-relation kernel once, and streams the result in
-// morsel chunks.
-type Breaker1 struct {
+// Kernel is a pipeline breaker's whole-relation computation over its
+// materialised inputs, in child order. It receives the execution context so
+// it can clamp its planned degree of parallelism to the pool
+// (ec.EffectiveDOP) and thread the query's governance handle.
+type Kernel func(ec *ExecContext, in []*storage.Relation) (*storage.Relation, error)
+
+// Breaker is a pipeline breaker (sort, group-by, join): it materialises its
+// inputs — concurrently, on the context's worker pool — runs a
+// whole-relation kernel once, and streams the result in morsel chunks.
+type Breaker struct {
 	base
-	child  Operator
-	kernel func(*ExecContext, *storage.Relation) (*storage.Relation, error)
-	dop    int // planned degree of parallelism for the kernel (<=1 serial)
-	out    *storage.Relation
-	pos    int
-	held   int64 // bytes reserved against the query budget; released in Close
+	children []Operator
+	kernel   Kernel
+	dop      int // planned degree of parallelism for the kernel (<=1 serial)
+	out      *storage.Relation
+	pos      int
+	held     int64 // bytes reserved against the query budget; released in Close
 }
 
-// NewBreaker1 returns a unary breaker applying kernel to the materialised
-// input. The kernel receives the execution context so it can clamp its
-// planned degree of parallelism to the pool (ec.EffectiveDOP).
-func NewBreaker1(label string, child Operator, kernel func(*ExecContext, *storage.Relation) (*storage.Relation, error)) *Breaker1 {
-	return &Breaker1{base: base{label: label}, child: child, kernel: kernel}
+// NewBreaker returns a breaker applying kernel to the materialised outputs
+// of children.
+func NewBreaker(label string, children []Operator, kernel Kernel) *Breaker {
+	return &Breaker{base: base{label: label}, children: children, kernel: kernel}
 }
 
 // SetDOP records the plan's chosen degree of parallelism for stats display;
 // the kernel closure applies the same value itself.
-func (b *Breaker1) SetDOP(dop int) { b.dop = dop }
+func (b *Breaker) SetDOP(dop int) { b.dop = dop }
 
 // Open implements Operator.
-func (b *Breaker1) Open(ec *ExecContext) error {
+func (b *Breaker) Open(ec *ExecContext) error {
 	b.out, b.pos = nil, 0
 	b.stats.DOP = int64(ec.EffectiveDOP(b.dop))
-	return b.child.Open(ec)
+	for _, c := range b.children {
+		if err := c.Open(ec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Next implements Operator.
-func (b *Breaker1) Next(ec *ExecContext) (*storage.Relation, error) {
+func (b *Breaker) Next(ec *ExecContext) (*storage.Relation, error) {
 	defer b.timed()()
 	if err := ec.Err(); err != nil {
 		return nil, err
 	}
 	if b.out == nil {
 		ctl := ec.CtlFor(b.label)
-		in, rows, err := drain(ec, ctl, b.child, &b.held)
-		if err != nil {
+		in := make([]*storage.Relation, len(b.children))
+		rows := make([]int64, len(b.children))
+		// The drains reserve into b.held concurrently (atomic adds), so a
+		// failed input's sibling reservations still release in Close.
+		drains := make([]func() error, len(b.children))
+		for i, c := range b.children {
+			drains[i] = func() error {
+				var err error
+				in[i], rows[i], err = drain(ec, ctl, c, &b.held)
+				return err
+			}
+		}
+		if err := ec.Pool.Run(drains...); err != nil {
 			return nil, err
 		}
-		b.addRowsIn(rows)
+		var rowsIn, inBytes int64
+		for i, rel := range in {
+			rowsIn += rows[i]
+			inBytes += rel.MemBytes()
+		}
+		b.addRowsIn(rowsIn)
 		if err := faultinject.Fire(faultinject.PointExecBreaker); err != nil {
 			return nil, err
 		}
@@ -347,9 +373,10 @@ func (b *Breaker1) Next(ec *ExecContext) (*storage.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The drained input is dead once the kernel has consumed it: swap its
-		// reservation out and return it after charging the output, so chained
-		// breakers don't hold every pipeline stage's input simultaneously.
+		// The drained inputs are dead once the kernel has consumed them: swap
+		// their reservation out and return it after charging the output, so
+		// chained breakers don't hold every pipeline stage's input
+		// simultaneously.
 		inHeld := atomic.SwapInt64(&b.held, 0)
 		defer ctl.Release(inHeld)
 		if n := out.MemBytes(); n > 0 {
@@ -359,129 +386,37 @@ func (b *Breaker1) Next(ec *ExecContext) (*storage.Relation, error) {
 			atomic.AddInt64(&b.held, n)
 		}
 		b.out = out
-		b.peak(in.MemBytes() + out.MemBytes())
+		b.peak(inBytes + out.MemBytes())
 	}
 	return emitChunk(ec, &b.base, b.out, &b.pos)
 }
 
 // Close implements Operator.
-func (b *Breaker1) Close(ec *ExecContext) error {
+func (b *Breaker) Close(ec *ExecContext) error {
 	ec.Ctl().Release(atomic.SwapInt64(&b.held, 0))
-	return b.child.Close(ec)
-}
-
-// Children implements Operator.
-func (b *Breaker1) Children() []Operator { return []Operator{b.child} }
-
-// Breaker2 is a binary pipeline breaker (join): it materialises both
-// inputs — concurrently, on the context's worker pool — runs a
-// whole-relation kernel once, and streams the result in morsel chunks.
-type Breaker2 struct {
-	base
-	left, right Operator
-	kernel      func(ec *ExecContext, l, r *storage.Relation) (*storage.Relation, error)
-	dop         int
-	out         *storage.Relation
-	pos         int
-	held        int64 // bytes reserved against the query budget; released in Close
-}
-
-// NewBreaker2 returns a binary breaker applying kernel to the two
-// materialised inputs. The kernel receives the execution context so it can
-// clamp its planned degree of parallelism to the pool (ec.EffectiveDOP).
-func NewBreaker2(label string, left, right Operator, kernel func(ec *ExecContext, l, r *storage.Relation) (*storage.Relation, error)) *Breaker2 {
-	return &Breaker2{base: base{label: label}, left: left, right: right, kernel: kernel}
-}
-
-// SetDOP records the plan's chosen degree of parallelism for stats display;
-// the kernel closure applies the same value itself.
-func (b *Breaker2) SetDOP(dop int) { b.dop = dop }
-
-// Open implements Operator.
-func (b *Breaker2) Open(ec *ExecContext) error {
-	b.out, b.pos = nil, 0
-	b.stats.DOP = int64(ec.EffectiveDOP(b.dop))
-	if err := b.left.Open(ec); err != nil {
-		return err
-	}
-	return b.right.Open(ec)
-}
-
-// Next implements Operator.
-func (b *Breaker2) Next(ec *ExecContext) (*storage.Relation, error) {
-	defer b.timed()()
-	if err := ec.Err(); err != nil {
-		return nil, err
-	}
-	if b.out == nil {
-		ctl := ec.CtlFor(b.label)
-		var l, r *storage.Relation
-		var lRows, rRows int64
-		// Both drains reserve into b.held concurrently (atomic adds), so a
-		// failed side's sibling reservations still release in Close.
-		err := ec.Pool.Run(
-			func() error {
-				var err error
-				l, lRows, err = drain(ec, ctl, b.left, &b.held)
-				return err
-			},
-			func() error {
-				var err error
-				r, rRows, err = drain(ec, ctl, b.right, &b.held)
-				return err
-			},
-		)
-		if err != nil {
-			return nil, err
+	var err error
+	for _, c := range b.children {
+		if cerr := c.Close(ec); err == nil {
+			err = cerr
 		}
-		b.addRowsIn(lRows + rRows)
-		if err := faultinject.Fire(faultinject.PointExecBreaker); err != nil {
-			return nil, err
-		}
-		out, err := b.kernel(ec, l, r)
-		if err != nil {
-			return nil, err
-		}
-		// As in Breaker1: both drained inputs are dead after the kernel, so
-		// their reservation goes back once the output is charged.
-		inHeld := atomic.SwapInt64(&b.held, 0)
-		defer ctl.Release(inHeld)
-		if n := out.MemBytes(); n > 0 {
-			if err := ctl.Reserve(n); err != nil {
-				return nil, err
-			}
-			atomic.AddInt64(&b.held, n)
-		}
-		b.out = out
-		b.peak(l.MemBytes() + r.MemBytes() + out.MemBytes())
-	}
-	return emitChunk(ec, &b.base, b.out, &b.pos)
-}
-
-// Close implements Operator.
-func (b *Breaker2) Close(ec *ExecContext) error {
-	ec.Ctl().Release(atomic.SwapInt64(&b.held, 0))
-	err := b.left.Close(ec)
-	if err2 := b.right.Close(ec); err == nil {
-		err = err2
 	}
 	return err
 }
 
 // Children implements Operator.
-func (b *Breaker2) Children() []Operator { return []Operator{b.left, b.right} }
+func (b *Breaker) Children() []Operator { return b.children }
 
 // ---------------------------------------------------------------------------
 // Shared helpers.
 
 // drain pulls op to exhaustion and concatenates the batches, returning the
-// consumed row count alongside. It does not touch the caller's stats:
-// Breaker2 runs two drains concurrently that feed the same RowsIn counter,
-// so the credit happens after the pool barrier. The accumulated batch bytes
-// are reserved against the query budget into *held (atomically — Breaker2's
-// two drains share one holder), which the caller releases in Close. ctl is
-// the draining operator's labelled governance handle, so a budget failure
-// mid-drain names the breaker that was materialising its input.
+// consumed row count alongside. It does not touch the caller's stats: a
+// join's Breaker runs two drains concurrently that feed the same RowsIn
+// counter, so the credit happens after the pool barrier. The accumulated
+// batch bytes are reserved against the query budget into *held (atomically —
+// concurrent drains share one holder), which the caller releases in Close.
+// ctl is the draining operator's labelled governance handle, so a budget
+// failure mid-drain names the breaker that was materialising its input.
 func drain(ec *ExecContext, ctl *govern.Ctl, op Operator, held *int64) (*storage.Relation, int64, error) {
 	parts := getParts()
 	defer func() { putParts(parts) }() // closure: parts may be regrown by append

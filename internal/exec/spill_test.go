@@ -88,9 +88,9 @@ func TestSpillSortMatchesInMemory(t *testing.T) {
 	rel := spillRel("t", 6000, 7)
 	for _, kind := range []sortx.Kind{sortx.Radix, sortx.Comparison, sortx.Std} {
 		kind := kind
-		want := runTree(t, NewBreaker1("sort", NewScan("scan", rel),
-			func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
-				return physical.SortRelParCtl(in, "key", kind, 1, ec.Ctl())
+		want := runTree(t, NewBreaker("sort", []Operator{NewScan("scan", rel)},
+			func(ec *ExecContext, in []*storage.Relation) (*storage.Relation, error) {
+				return physical.SortRelParCtl(in[0], "key", kind, 1, ec.Ctl())
 			}), 4096)
 		for _, workers := range spillDOPs() {
 			for _, morsel := range spillMorsels {
@@ -117,11 +117,11 @@ func TestSpillGroupMatchesInMemory(t *testing.T) {
 	for _, key := range []string{"key", "city"} {
 		key := key
 		opt := physical.GroupOptions{Scheme: hashtable.Chained, Hash: hashtable.Murmur3Fin, Parallel: 1}
-		want := runTree(t, NewBreaker1("group", NewScan("scan", rel),
-			func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
+		want := runTree(t, NewBreaker("group", []Operator{NewScan("scan", rel)},
+			func(ec *ExecContext, in []*storage.Relation) (*storage.Relation, error) {
 				o := opt
 				o.Ctl = ec.Ctl()
-				return physical.GroupByRelDom(in, key, aggs, physical.HG, o, props.Domain{})
+				return physical.GroupByRelDom(in[0], key, aggs, physical.HG, o, props.Domain{})
 			}), 4096)
 		for _, workers := range spillDOPs() {
 			for _, morsel := range spillMorsels {
@@ -147,14 +147,14 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 	opt := physical.JoinOptions{Hash: hashtable.Murmur3Fin, Parallel: 1}
 	for _, swapped := range []bool{false, true} {
 		swapped := swapped
-		want := runTree(t, NewBreaker2("join", NewScan("l", left), NewScan("r", right),
-			func(ec *ExecContext, l, r *storage.Relation) (*storage.Relation, error) {
+		want := runTree(t, NewBreaker("join", []Operator{NewScan("l", left), NewScan("r", right)},
+			func(ec *ExecContext, in []*storage.Relation) (*storage.Relation, error) {
 				o := opt
 				o.Ctl = ec.Ctl()
 				if swapped {
-					return physical.JoinRelDomSwapped(l, r, "key", "key", physical.HJ, o, props.Domain{})
+					return physical.JoinRelDomSwapped(in[0], in[1], "key", "key", physical.HJ, o, props.Domain{})
 				}
-				return physical.JoinRelDom(l, r, "key", "key", physical.HJ, o, props.Domain{})
+				return physical.JoinRelDom(in[0], in[1], "key", "key", physical.HJ, o, props.Domain{})
 			}), 4096)
 		for _, workers := range spillDOPs() {
 			for _, morsel := range spillMorsels {
@@ -178,9 +178,9 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 // return the exact in-memory result.
 func TestSpillIdleStaysInMemory(t *testing.T) {
 	rel := spillRel("t", 3000, 5)
-	want := runTree(t, NewBreaker1("sort", NewScan("scan", rel),
-		func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
-			return physical.SortRelParCtl(in, "key", sortx.Radix, 1, ec.Ctl())
+	want := runTree(t, NewBreaker("sort", []Operator{NewScan("scan", rel)},
+		func(ec *ExecContext, in []*storage.Relation) (*storage.Relation, error) {
+			return physical.SortRelParCtl(in[0], "key", sortx.Radix, 1, ec.Ctl())
 		}), 4096)
 	dir := t.TempDir()
 	ec := NewExecContext(context.Background(), 256, 2)
@@ -346,9 +346,9 @@ func TestSpillStatsSurface(t *testing.T) {
 func BenchmarkExternalSort(b *testing.B) {
 	rel := spillRel("t", 200_000, 17)
 	inMemory := func() Operator {
-		return NewBreaker1("sort", NewScan("scan", rel),
-			func(ec *ExecContext, in *storage.Relation) (*storage.Relation, error) {
-				return physical.SortRelParCtl(in, "key", sortx.Radix, 1, ec.Ctl())
+		return NewBreaker("sort", []Operator{NewScan("scan", rel)},
+			func(ec *ExecContext, in []*storage.Relation) (*storage.Relation, error) {
+				return physical.SortRelParCtl(in[0], "key", sortx.Radix, 1, ec.Ctl())
 			})
 	}
 	spillSort := func() Operator {

@@ -143,9 +143,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // http.Server.Shutdown to wait for them).
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // statusWriter captures the final status code for the request metric.
 type statusWriter struct {
 	http.ResponseWriter

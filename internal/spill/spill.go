@@ -37,7 +37,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"dqo/internal/faultinject"
 	"dqo/internal/govern"
@@ -56,7 +55,6 @@ type Dir struct {
 	mu      sync.Mutex
 	nextID  int
 	live    int64 // bytes currently on disk (released on run removal)
-	written atomic.Int64
 	removed bool
 }
 
@@ -71,18 +69,6 @@ func NewDir(parent string, ctl *govern.Ctl) (*Dir, error) {
 		return nil, qerr.Wrap(qerr.ErrSpillIO, err)
 	}
 	return &Dir{path: path, ctl: ctl}, nil
-}
-
-// Path reports the directory holding this query's run files.
-func (d *Dir) Path() string { return d.path }
-
-// Written reports the total bytes ever written to this directory's runs
-// (monotonic; removal of a run does not subtract).
-func (d *Dir) Written() int64 {
-	if d == nil {
-		return 0
-	}
-	return d.written.Load()
 }
 
 // Cleanup removes the spill directory and everything in it, releasing the
@@ -153,7 +139,6 @@ func (d *Dir) account(n int64) error {
 	d.mu.Lock()
 	d.live += n
 	d.mu.Unlock()
-	d.written.Add(n)
 	return nil
 }
 

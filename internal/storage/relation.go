@@ -52,9 +52,6 @@ func (r *Relation) addColumn(c *Column) error {
 	return nil
 }
 
-// AddColumn appends a column. It fails on name clashes or length mismatches.
-func (r *Relation) AddColumn(c *Column) error { return r.addColumn(c) }
-
 // Name returns the relation name.
 func (r *Relation) Name() string { return r.name }
 

@@ -122,14 +122,6 @@ func (r *Rand) ShuffleUint32(xs []uint32) {
 	}
 }
 
-// ShuffleUint64 permutes xs uniformly at random (Fisher-Yates).
-func (r *Rand) ShuffleUint64(xs []uint64) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := int(r.Uint64n(uint64(i + 1)))
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}
-
 // Zipf draws values in [0, n) following a Zipf distribution with exponent s
 // (s > 1 is a classic skew, s = 0 degenerates to uniform). It precomputes the
 // CDF once; use for modest n (the group-count ranges in the experiments).

@@ -37,7 +37,7 @@ func TestSpillDifferential(t *testing.T) {
 			}
 			for _, workers := range workerCounts() {
 				for _, morsel := range []int{1, 7, 1024} {
-					root, err := core.Compile(res.Best)
+					root, err := core.Compile(res.Best, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
